@@ -241,6 +241,8 @@ def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed,
                     f"    counterexample: {ce.graph_label} k={ce.k} mode={ce.mode} "
                     f"observed={ce.observed} expected={ce.expected} ({ce.detail})"
                 )
+        if report.checks_recorded == 0:
+            click.echo(f"no check recorded a result on {report.graph_count} graphs")
         click.echo("RESULT: PASS" if report.all_passed else "RESULT: FAIL")
     if not report.all_passed:
         sys.exit(1)
@@ -259,6 +261,8 @@ def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed,
 @click.pass_context
 def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
     """Sweep a family and tabulate exact values next to every bound."""
+    if start > end:
+        raise click.UsageError(f"--start ({start}) must not exceed --end ({end})")
     builders = {
         "complete": gen_complete,
         "cycle": gen_cycle,
@@ -273,6 +277,8 @@ def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
             graph = builders[family](param)
         except ValueError as e:
             raise click.UsageError(str(e))
+        if graph.vertex_count < 1:
+            raise click.UsageError(f"{family} {param} has no vertex; solving requires n >= 1")
         profile = degree_profile(graph)
         n = graph.vertex_count
         k = {"full": n, "half": math.ceil(n / 2), "one": 1}[k_policy]

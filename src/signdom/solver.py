@@ -10,15 +10,21 @@ Two independent engines compute it: exhaustive enumeration
 (:func:`solve_bruteforce`, the oracle) and depth-first branch-and-bound
 (:func:`solve_bnb`). Both return the same canonical witness: the
 lexicographically smallest optimal sign vector under the ordering
-+1 < -1, vertex 0 most significant.
++1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
+search: it branches vertices in id order, +1 first, accepts ties with the
+greedy incumbent only until its first leaf, and prunes with a residual
+form of the double counting sum_v f(N[v]) = sum_u (d_u+1) f(u), counting
+the positives still needed by the k least demanding vertices.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .bounds import bound_report
 from .graph import Graph
 
 __all__ = [
@@ -131,9 +137,14 @@ def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work done by one solve: nodes visited (every assignment for brute
+    force; every node of the one search, witness included, for
+    branch-and-bound) and branch-and-bound prunes by reason."""
+
     nodes: int = 0
     prunes_weight: int = 0
     prunes_satisfiability: int = 0
+    prunes_residual: int = 0
     prunes_global_lb: int = 0
 
 
@@ -225,134 +236,150 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     return SolveResult(best_weight, witness, ev.satisfied_count, SearchStats(nodes=1 << n))
 
 
-class _PartialState:
-    """Incremental closed-sum bookkeeping for partial assignments.
-
-    For each vertex: ``sums`` is the signed sum of assigned vertices in
-    N[v], ``slack`` the number of unassigned ones. A vertex is dead when
-    sums + slack < threshold: no completion can satisfy it.
-    """
-
-    __slots__ = ("closed", "sums", "slack", "alive", "alive_count", "tau")
-
-    def __init__(self, graph: Graph, tau: int):
-        n = graph.vertex_count
-        self.closed = [sorted(graph.closed_neighborhood(v)) for v in range(n)]
-        self.sums = [0] * n
-        self.slack = [graph.degree(v) + 1 for v in range(n)]
-        self.alive = [True] * n
-        self.alive_count = n
-        self.tau = tau
-
-    def assign(self, v: int, sign: int) -> list[int]:
-        killed = []
-        for u in self.closed[v]:
-            self.slack[u] -= 1
-            self.sums[u] += sign
-            if self.alive[u] and self.sums[u] + self.slack[u] < self.tau:
-                self.alive[u] = False
-                killed.append(u)
-        self.alive_count -= len(killed)
-        return killed
-
-    def unassign(self, v: int, sign: int, killed: list[int]) -> None:
-        for u in killed:
-            self.alive[u] = True
-        self.alive_count += len(killed)
-        for u in self.closed[v]:
-            self.slack[u] += 1
-            self.sums[u] -= sign
-
-
-def _lexmin_witness(graph: Graph, k: int, tau: int, target: int) -> SignAssignment:
-    """Lexicographically smallest assignment with weight == target that
-    satisfies at least k vertices. ``target`` must be achievable."""
-    n = graph.vertex_count
-    state = _PartialState(graph, tau)
-    signs = [0] * n
-
-    def rec(idx: int, weight: int) -> bool:
-        if idx == n:
-            return weight == target and state.alive_count >= k
-        rem = n - idx - 1
-        for sign in (1, -1):
-            w = weight + sign
-            if w - rem > target or w + rem < target:
-                continue
-            killed = state.assign(idx, sign)
-            signs[idx] = sign
-            if state.alive_count >= k and rec(idx + 1, w):
-                return True
-            state.unassign(idx, sign, killed)
-        return False
-
-    if not rec(0, 0):
-        raise RuntimeError(f"no assignment of weight {target} satisfies {k} vertices")
-    return SignAssignment(tuple(signs))
-
-
 def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
-    """Exact optimum by depth-first branch-and-bound.
+    """Exact optimum and canonical witness by one depth-first branch-and-bound.
 
-    Vertices are branched in descending-degree order (ties by ascending
-    id), +1 before -1. Pruning: (a) a subtree whose best possible weight
-    (all remaining -1) cannot beat the incumbent; (b) a partial
-    assignment leaving fewer than k satisfiable vertices; (c) full stop
-    once the incumbent reaches the strongest applicable parity-lifted
-    lower bound. The incumbent is seeded with :func:`greedy_upper`, and
-    the witness is canonicalized to the lexicographic minimum afterwards.
+    Vertices are branched in id order, +1 before -1, so leaves are met in
+    lexicographic order. The incumbent starts at the weight of
+    :func:`greedy_upper` with no witness attached. Until the first leaf is
+    accepted, a feasible leaf is accepted when its weight is at most the
+    incumbent; after that, only when it is strictly lower. The first
+    optimal leaf accepted is thus the lexicographically smallest one, and
+    no later leaf replaces it.
+
+    Pruning uses the double counting sum_v f(N[v]) = sum_u (d_u+1) f(u)
+    behind the paper's bounds, applied to the unassigned vertices U of a
+    node of weight w. A satisfied vertex v needs ceil((d_v+1+tau)/2)
+    positives in N[v]; its demand is that minus the positives already
+    there, floored at 0. Let D be the sum of the k smallest demands among
+    vertices that can still be satisfied. New positives P within U have
+    sum_{u in P} (d_u+1) >= D, so |P| is at least p, the fewest of the
+    largest d_u+1 over U that cover D, and every leaf below weighs at
+    least w - |U| + 2p. At k = n this is the paper's cap on negatives:
+    the demands and the negatives N[v] may still take sum to |N[v] & U|.
+
+    The bound already has the parity of n. A node is pruned when no
+    leaf below it can be accepted: all remaining -1 is still too heavy
+    (``prunes_weight``), fewer than k vertices stay satisfiable
+    (``prunes_satisfiability``), or the residual bound is too high
+    (``prunes_residual``). The bound at the root is a lower bound on the
+    optimum, and the search stops once a leaf of that weight is accepted
+    (``prunes_global_lb``).
     """
     n = graph.vertex_count
     _check_k(n, k)
     tau = mode.threshold
-    global_lb = bound_report(graph, k).best_applicable_lifted()
+    closed = [sorted(graph.closed_neighborhood(v)) for v in range(n)]
+    size = [len(c) for c in closed]  # d_v + 1
+    room = [(s - tau) // 2 for s in size]  # negatives N[v] may still take; < 0: v is lost
+    short = [(s + tau + 1) // 2 for s in size]  # positives N[v] still lacks
+    # Prefix sums of d_u + 1 over the unassigned u >= depth, largest first.
+    prefix = [
+        list(accumulate(sorted(size[depth:], reverse=True), initial=0))
+        for depth in range(n + 1)
+    ]
+    lacking = [0] * (max(short) + 1)  # lacking[x]: satisfiable v with max(short_v, 0) == x
+    for x in short:
+        lacking[x] += 1
+    # At k = n every vertex counts, so the demand is the running sum owed of
+    # short, and +1 children skip the histogram: keeping it there too makes
+    # the k = n search about 25 % slower. A vertex lost at k = n prunes its
+    # node before owed is read, so owed need not track losses.
+    ranked = k < n
+    owed = sum(short)
+    alive = n  # vertices that can still be satisfied
 
-    seed = greedy_upper(graph, k, mode)
-    best = seed.weight
+    def residual(depth: int, weight: int) -> float:
+        rest = prefix[depth]
+        if not ranked:
+            demand = owed
+        else:
+            demand, left = 0, k
+            for value, count in enumerate(lacking):
+                if count >= left:
+                    demand += value * left
+                    break
+                demand += value * count
+                left -= count
+        p = bisect_left(rest, demand)
+        return math.inf if p == len(rest) else weight - (n - depth) + 2 * p
 
-    nodes = prunes_w = prunes_s = prunes_lb = 0
-    if best == global_lb:
-        prunes_lb += 1
-    else:
-        order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-        state = _PartialState(graph, tau)
-        stop = False
+    root_lb = residual(0, 0)
+    cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
+    signs = [0] * n
+    witness: tuple[int, ...] | None = None
+    stop = False
+    nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
 
-        def dfs(depth: int, weight: int) -> None:
-            nonlocal best, stop, nodes, prunes_w, prunes_s, prunes_lb
-            nodes += 1
-            if depth == n:
-                if state.alive_count >= k and weight < best:
-                    best = weight
-                    if best == global_lb:
-                        stop = True
-                        prunes_lb += 1
-                return
-            if weight - (n - depth) >= best:
-                prunes_w += 1
-                return
-            if state.alive_count < k:
-                prunes_s += 1
-                return
-            v = order[depth]
-            for sign in (1, -1):
-                killed = state.assign(v, sign)
-                dfs(depth + 1, weight + sign)
-                state.unassign(v, sign, killed)
-                if stop:
-                    return
+    def dfs(v: int, weight: int) -> None:
+        nonlocal alive, owed, cutoff, witness, stop
+        nonlocal nodes, prunes_w, prunes_s, prunes_r, prunes_lb
+        nodes += 1
+        if alive < k:
+            prunes_s += 1
+            return
+        if v == n:
+            if weight < cutoff:
+                cutoff = weight  # from now on only strictly lower leaves
+                witness = tuple(signs)
+                if weight == root_lb:
+                    stop = True
+                    prunes_lb += 1
+            return
+        if weight - (n - v) >= cutoff:
+            prunes_w += 1
+            return
+        if residual(v, weight) >= cutoff:
+            prunes_r += 1
+            return
+        nbrs = closed[v]
 
-        dfs(0, 0)
+        signs[v] = 1
+        for u in nbrs:
+            short[u] -= 1
+            if short[u] >= 0 and room[u] >= 0:
+                if ranked:
+                    lacking[short[u] + 1] -= 1
+                    lacking[short[u]] += 1
+                else:
+                    owed -= 1
+        dfs(v + 1, weight + 1)
+        for u in nbrs:
+            if short[u] >= 0 and room[u] >= 0:
+                if ranked:
+                    lacking[short[u]] -= 1
+                    lacking[short[u] + 1] += 1
+                else:
+                    owed += 1
+            short[u] += 1
+        if stop:
+            return
 
-    witness = _lexmin_witness(graph, k, tau, best)
-    ev = evaluate(graph, witness, mode)
-    if ev.weight != best or ev.satisfied_count < k:
-        raise RuntimeError("internal error: reconstructed witness is inconsistent")
+        signs[v] = -1
+        for u in nbrs:
+            room[u] -= 1
+            if room[u] == -1:
+                alive -= 1
+                lacking[max(short[u], 0)] -= 1
+        dfs(v + 1, weight - 1)
+        for u in nbrs:
+            if room[u] == -1:
+                alive += 1
+                lacking[max(short[u], 0)] += 1
+            room[u] += 1
+
+    dfs(0, 0)
+    if witness is None:
+        raise RuntimeError("internal error: the search accepted no leaf")
+    best = SignAssignment(witness)
+    ev = evaluate(graph, best, mode)
+    if ev.weight != cutoff or ev.satisfied_count < k:
+        raise RuntimeError("internal error: the accepted witness is inconsistent")
     return SolveResult(
-        optimum=best,
-        witness=witness,
+        optimum=cutoff,
+        witness=best,
         satisfied_count=ev.satisfied_count,
-        stats=SearchStats(nodes, prunes_w, prunes_s, prunes_lb),
+        stats=SearchStats(nodes, prunes_w, prunes_s, prunes_r, prunes_lb),
     )
 
 
@@ -388,5 +415,6 @@ def result_record(graph: Graph, k: int, mode: Mode, result: SolveResult) -> dict
         "stats.nodes": result.stats.nodes,
         "stats.prunes_weight": result.stats.prunes_weight,
         "stats.prunes_satisfiability": result.stats.prunes_satisfiability,
+        "stats.prunes_residual": result.stats.prunes_residual,
         "stats.prunes_global_lb": result.stats.prunes_global_lb,
     }

@@ -179,6 +179,7 @@ class CampaignReport:
     k_policy: str
     graph_count: int
     checks: list[CheckResult]
+    checks_recorded: int  # results recorded, passed or failed; 0: nothing tested
     all_passed: bool
     generated_at: str
 
@@ -503,11 +504,14 @@ def run_campaign(
             target.counterexamples.extend(result.counterexamples)
 
     checks_out = [merged[name] for name in sorted(merged)]
+    recorded = sum(c.passed + c.failed for c in checks_out)
     return CampaignReport(
         ensemble=spec.describe(),
         k_policy=k_policy,
         graph_count=len(ensemble),
         checks=checks_out,
-        all_passed=all(c.failed == 0 for c in checks_out),
+        checks_recorded=recorded,
+        # a campaign that recorded no result has shown nothing, so it fails
+        all_passed=recorded > 0 and all(c.failed == 0 for c in checks_out),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )

@@ -211,6 +211,30 @@ def test_verify_failure_exits_1(runner, monkeypatch):
     assert "counterexample" in result.output
 
 
+def test_verify_empty_ensemble_fails(runner):
+    # G(n, p) starts at n_min = 4, so n_max = 3 builds no graph at all
+    result = runner.invoke(main, ["verify", "--family", "gnp", "--n-max", "3"])
+    assert result.exit_code == 1
+    assert "graphs: 0" in result.output
+    assert "no check recorded a result" in result.output
+    assert "RESULT: FAIL" in result.output
+    assert "RESULT: PASS" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["cycle", "--start", "5", "--end", "4"], "--start"),
+        (["complete", "--start", "0", "--end", "2"], "n >= 1"),
+    ],
+)
+def test_table_bad_range_is_usage_error(runner, args, message):
+    result = runner.invoke(main, ["table", *args])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_verify_rejects_unknown_check(runner):
     result = runner.invoke(main, ["verify", "--check", "nope"])
     assert result.exit_code == 2

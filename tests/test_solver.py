@@ -8,9 +8,11 @@ from signdom import (
     Mode,
     SignAssignment,
     evaluate,
+    exact_cycle_signed,
     gen_circulant,
     gen_complete,
     gen_cycle,
+    gen_gnp,
     gen_hajos,
     gen_sun,
     greedy_upper,
@@ -139,16 +141,44 @@ def test_bnb_known_values():
 
 
 def test_bnb_terminates_on_global_bound():
-    r = solve_bnb(gen_sun(4), 16, Mode.NONNEG)
+    g = gen_sun(4)
+    r = solve_bnb(g, 16, Mode.NONNEG)
     assert r.optimum == 0
     assert r.stats.prunes_global_lb == 1
-    assert r.stats.nodes == 0  # greedy already met the lifted lower bound
+    # greedy already meets the root bound; the search only walks down to
+    # the canonical witness
+    assert r.stats.nodes <= 2 * g.vertex_count + 1
+    assert r.witness == solve_bruteforce(g, 16, Mode.NONNEG).witness
 
 
 def test_bnb_counts_nodes_when_searching():
     r = solve_bnb(gen_cycle(7), 3, Mode.SIGNED)
     assert r.optimum == solve_bruteforce(gen_cycle(7), 3, Mode.SIGNED).optimum
     assert r.stats.nodes > 0
+    assert r.stats.prunes_residual > 0
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_bnb_matches_bruteforce_on_seeded_gnp(n, p):
+    for seed in range(3):
+        g = gen_gnp(n, p, seed)
+        for k in sorted({1, n // 2, n}):
+            for mode in (Mode.NONNEG, Mode.SIGNED):
+                bnb = solve_bnb(g, k, mode)
+                brute = solve_bruteforce(g, k, mode)
+                assert (bnb.optimum, bnb.witness) == (brute.optimum, brute.witness), (seed, k, mode)
+                assert bnb.satisfied_count == brute.satisfied_count
+
+
+def test_bnb_cycles_signed_match_reference_quickly():
+    for n in range(15, 47):
+        g = gen_cycle(n)
+        r = solve_bnb(g, n, Mode.SIGNED)
+        assert r.optimum == exact_cycle_signed(n)
+        ev = evaluate(g, r.witness, Mode.SIGNED)
+        assert ev.weight == r.optimum and ev.satisfied_count == n
+        assert r.stats.nodes < 1000  # the witness comes from the one search
 
 
 # --- greedy upper bound ---
@@ -195,7 +225,7 @@ def test_result_record_fields():
     assert record["optimum"] == 0
     assert record["mode"] == "nonneg"
     assert record["witness"] == "+++---"
-    assert set(record) >= {"n", "m", "k", "satisfied_count", "stats.nodes"}
+    assert set(record) >= {"n", "m", "k", "satisfied_count", "stats.nodes", "stats.prunes_residual"}
 
 
 # --- cross-engine properties ---

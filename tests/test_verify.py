@@ -60,6 +60,14 @@ def test_small_campaign_passes():
     assert all(c.passed > 0 for c in report.checks)
 
 
+def test_empty_campaign_does_not_pass():
+    report = run_campaign(EnsembleSpec(families=("gnp",), n_max=3))
+    assert report.graph_count == 0
+    assert report.checks_recorded == 0
+    assert not report.all_passed
+    assert not report.to_dict()["all_passed"]
+
+
 def test_campaign_check_filter():
     report = run_campaign(SMALL, checks=("degree-identity", "ksub-reduction"))
     assert [c.name for c in report.checks] == ["degree-identity", "ksub-reduction"]
