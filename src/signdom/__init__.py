@@ -45,6 +45,7 @@ from .reference import (
     exact_cycle_nn,
     exact_cycle_signed,
     exact_hajos_nn,
+    exact_path_signed,
     exact_sun_nn,
     reference_table,
 )

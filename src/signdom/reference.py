@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, gen_complete, gen_cycle, gen_hajos, gen_sun
+from .graph import Graph, gen_complete, gen_cycle, gen_hajos, gen_path, gen_sun
 from .solver import Mode
 
 __all__ = [
     "ReferenceValue",
     "exact_cycle_signed",
     "exact_cycle_nn",
+    "exact_path_signed",
     "exact_complete_nn",
     "exact_sun_nn",
     "exact_hajos_nn",
@@ -38,6 +39,15 @@ def exact_cycle_nn(n: int) -> int:
     """Nonneg full-domination optimum of C_n. Every cycle vertex has even
     degree, which forces equality with the signed value."""
     return exact_cycle_signed(n)
+
+
+def exact_path_signed(n: int) -> int:
+    """Signed full-domination optimum of the path P_n: n - 2*floor((n-2)/3)
+    for n >= 2 (Dunbar, Hedetniemi, Henning and Slater, 1995). Both
+    endpoints and their neighbours are forced to +1."""
+    if n < 2:
+        raise ValueError("paths need n >= 2")
+    return n - 2 * ((n - 2) // 3)
 
 
 def exact_complete_nn(n: int) -> int:
@@ -83,6 +93,8 @@ class ReferenceValue:
             return gen_complete(p["n"])
         if self.family == "cycle":
             return gen_cycle(p["n"])
+        if self.family == "path":
+            return gen_path(p["n"])
         if self.family == "sun":
             return gen_sun(p["t"])
         if self.family == "hajos":
@@ -92,6 +104,7 @@ class ReferenceValue:
 
 _CYCLE_NOTE = "closed form by residue of n mod 3 (classical result for signed domination of cycles)"
 _CYCLE_NN_NOTE = "equals the signed value: cycles are even graphs, where both modes coincide"
+_PATH_NOTE = "n - 2*floor((n-2)/3) (Dunbar, Hedetniemi, Henning and Slater, 1995)"
 _COMPLETE_NOTE = "every closed sum in K_n equals the weight; least feasible weight is n mod 2"
 _SUN_NOTE = "cycle-positive/gadget-negative assignment of weight 0 meets the degree-based bounds"
 _HAJOS_NOTE = "triangle-positive assignment of weight 0 meets the square-root bounds"
@@ -110,6 +123,10 @@ def reference_table() -> tuple[ReferenceValue, ...]:
         )
         rows.append(
             ReferenceValue("cycle", (("n", n),), "n", Mode.NONNEG, exact_cycle_nn(n), _CYCLE_NN_NOTE)
+        )
+    for n in range(2, 21):
+        rows.append(
+            ReferenceValue("path", (("n", n),), "n", Mode.SIGNED, exact_path_signed(n), _PATH_NOTE)
         )
     for t in range(2, 6):
         rows.append(ReferenceValue("sun", (("t", t),), "n", Mode.NONNEG, exact_sun_nn(t), _SUN_NOTE))

@@ -14,7 +14,10 @@ lexicographically smallest optimal sign vector under the ordering
 search: it branches vertices in id order, +1 first, accepts ties with the
 greedy incumbent only until its first leaf, and prunes with a residual
 form of the double counting sum_v f(N[v]) = sum_u (d_u+1) f(u), counting
-the positives still needed by the k least demanding vertices.
+the positives still needed by the k least demanding vertices. Its state
+is two integers with one fixed-width field per vertex, so a branch is one
+subtraction and needs no undo; the fields are wide enough that no
+subtraction borrows from a neighbouring field.
 """
 
 from __future__ import annotations
@@ -104,8 +107,7 @@ class SignAssignment:
 class EvalResult:
     """Assignment evaluation: per-vertex closed-neighborhood sums, the
     satisfied set and its split by sign (p1 = positives satisfied,
-    m1 = negatives satisfied), and the number of edges with endpoints
-    of opposite sign."""
+    m1 = negatives satisfied)."""
 
     weight: int
     closed_sums: tuple[int, ...]
@@ -113,7 +115,6 @@ class EvalResult:
     satisfied_count: int
     p1: frozenset[int]
     m1: frozenset[int]
-    crossing_edges: int
 
 
 def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
@@ -131,7 +132,6 @@ def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
         satisfied_count=len(satisfied),
         p1=frozenset(v for v in satisfied if vals[v] > 0),
         m1=frozenset(v for v in satisfied if vals[v] < 0),
-        crossing_edges=sum(1 for u, v in graph.edges() if vals[u] != vals[v]),
     )
 
 
@@ -258,6 +258,20 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
     least w - |U| + 2p. At k = n this is the paper's cap on negatives:
     the demands and the negatives N[v] may still take sum to |N[v] & U|.
 
+    The search state is two integers, ``room`` (negatives N[v] may still
+    take) and ``short`` (positives N[v] still lacks), each packing one
+    field per vertex: vertex v's counter x sits at bit v*width as big + x,
+    with big = 2^bit_length(n) > n and width = bit_length(n) + 2. A child
+    subtracts the indicator of N[v] from one of them, which moves each
+    counter of N[v] down by 1. A counter starts at most (n+2)/2 and drops
+    at most d_v+1 <= n times, so every field stays in [big - n, 2*big):
+    no subtraction borrows from the next field, and adding up to big - 1
+    keeps a field below 4*big = 2^width, so no add carries into the next.
+    Vertex v can still be satisfied while its room field has bit big set;
+    the number of such vertices with demand above x is one add of
+    big-1-x to every short field and a popcount of the bits 2*big, so D
+    costs one popcount per demand value at every k.
+
     The bound already has the parity of n. A node is pruned when no
     leaf below it can be accepted: all remaining -1 is still too heavy
     (``prunes_weight``), fewer than k vertices stay satisfiable
@@ -269,52 +283,53 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
     n = graph.vertex_count
     _check_k(n, k)
     tau = mode.threshold
-    closed = [sorted(graph.closed_neighborhood(v)) for v in range(n)]
-    size = [len(c) for c in closed]  # d_v + 1
-    room = [(s - tau) // 2 for s in size]  # negatives N[v] may still take; < 0: v is lost
-    short = [(s + tau + 1) // 2 for s in size]  # positives N[v] still lacks
+    size = [graph.degree(v) + 1 for v in range(n)]  # d_v + 1
+    big = 1 << n.bit_length()
+    width = n.bit_length() + 2
+    one = sum(1 << (v * width) for v in range(n))  # 1 in every field
+    top = one * big  # bit big of every field
+    nb = [sum(1 << (u * width) for u in graph.closed_neighborhood(v)) for v in range(n)]
+
+    def pack(counters: list[int]) -> int:
+        return sum((big + x) << (v * width) for v, x in enumerate(counters))
+
+    lacks = [(s + tau + 1) // 2 for s in size]
+    room0 = pack([(s - tau) // 2 for s in size])  # negatives N[v] may still take
+    short0 = pack(lacks)  # positives N[v] still lacks
+    # adds[x] lifts a short field to 2*big or more exactly when its demand > x.
+    adds = [one * (big - 1 - x) for x in range(max(lacks))]
     # Prefix sums of d_u + 1 over the unassigned u >= depth, largest first.
     prefix = [
         list(accumulate(sorted(size[depth:], reverse=True), initial=0))
         for depth in range(n + 1)
     ]
-    lacking = [0] * (max(short) + 1)  # lacking[x]: satisfiable v with max(short_v, 0) == x
-    for x in short:
-        lacking[x] += 1
-    # At k = n every vertex counts, so the demand is the running sum owed of
-    # short, and +1 children skip the histogram: keeping it there too makes
-    # the k = n search about 25 % slower. A vertex lost at k = n prunes its
-    # node before owed is read, so owed need not track losses.
-    ranked = k < n
-    owed = sum(short)
-    alive = n  # vertices that can still be satisfied
 
-    def residual(depth: int, weight: int) -> float:
+    def residual(depth: int, weight: int, live: int, alive: int, short: int) -> float:
+        spare = alive - k  # satisfiable vertices the k smallest demands leave out
+        live <<= 1
+        demand = 0
+        for add in adds:
+            over = ((short + add) & live).bit_count()
+            if over <= spare:
+                break
+            demand += over - spare
         rest = prefix[depth]
-        if not ranked:
-            demand = owed
-        else:
-            demand, left = 0, k
-            for value, count in enumerate(lacking):
-                if count >= left:
-                    demand += value * left
-                    break
-                demand += value * count
-                left -= count
         p = bisect_left(rest, demand)
         return math.inf if p == len(rest) else weight - (n - depth) + 2 * p
 
-    root_lb = residual(0, 0)
+    root_lb = residual(0, 0, top, n, short0)
     cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
     signs = [0] * n
     witness: tuple[int, ...] | None = None
     stop = False
     nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
 
-    def dfs(v: int, weight: int) -> None:
-        nonlocal alive, owed, cutoff, witness, stop
+    def dfs(v: int, weight: int, room: int, short: int) -> None:
+        nonlocal cutoff, witness, stop
         nonlocal nodes, prunes_w, prunes_s, prunes_r, prunes_lb
         nodes += 1
+        live = room & top
+        alive = live.bit_count()
         if alive < k:
             prunes_s += 1
             return
@@ -329,46 +344,17 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
         if weight - (n - v) >= cutoff:
             prunes_w += 1
             return
-        if residual(v, weight) >= cutoff:
+        if residual(v, weight, live, alive, short) >= cutoff:
             prunes_r += 1
             return
-        nbrs = closed[v]
-
         signs[v] = 1
-        for u in nbrs:
-            short[u] -= 1
-            if short[u] >= 0 and room[u] >= 0:
-                if ranked:
-                    lacking[short[u] + 1] -= 1
-                    lacking[short[u]] += 1
-                else:
-                    owed -= 1
-        dfs(v + 1, weight + 1)
-        for u in nbrs:
-            if short[u] >= 0 and room[u] >= 0:
-                if ranked:
-                    lacking[short[u]] -= 1
-                    lacking[short[u] + 1] += 1
-                else:
-                    owed += 1
-            short[u] += 1
+        dfs(v + 1, weight + 1, room, short - nb[v])
         if stop:
             return
-
         signs[v] = -1
-        for u in nbrs:
-            room[u] -= 1
-            if room[u] == -1:
-                alive -= 1
-                lacking[max(short[u], 0)] -= 1
-        dfs(v + 1, weight - 1)
-        for u in nbrs:
-            if room[u] == -1:
-                alive += 1
-                lacking[max(short[u], 0)] += 1
-            room[u] += 1
+        dfs(v + 1, weight - 1, room - nb[v], short)
 
-    dfs(0, 0)
+    dfs(0, 0, room0, short0)
     if witness is None:
         raise RuntimeError("internal error: the search accepted no leaf")
     best = SignAssignment(witness)

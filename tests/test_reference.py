@@ -7,10 +7,12 @@ from signdom import (
     exact_cycle_nn,
     exact_cycle_signed,
     exact_hajos_nn,
+    exact_path_signed,
     exact_sun_nn,
     gen_complete,
     gen_cycle,
     gen_hajos,
+    gen_path,
     gen_sun,
     reference_table,
     solve,
@@ -50,6 +52,20 @@ def test_sun_and_hajos():
     with pytest.raises(ValueError):
         exact_sun_nn(1)
     assert exact_hajos_nn() == 0
+
+
+def test_path_signed_formula():
+    assert exact_path_signed(2) == 2
+    assert exact_path_signed(4) == 4
+    assert exact_path_signed(5) == 3
+    assert exact_path_signed(8) == 4
+    with pytest.raises(ValueError):
+        exact_path_signed(1)
+
+
+def test_paths_against_solver():
+    for n in range(2, 19):  # brute force up to 14, branch-and-bound above
+        assert solve(gen_path(n), n, Mode.SIGNED).optimum == exact_path_signed(n), n
 
 
 def test_cycles_against_solver():

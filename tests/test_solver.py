@@ -61,7 +61,9 @@ def test_evaluate_c4_example():
     assert ev.satisfied_count == 2
     assert ev.p1 == frozenset({0, 1})
     assert ev.m1 == frozenset()
-    assert ev.crossing_edges == 2  # edges (1,2) and (3,0)
+    # a positive v has (d_v + 1 - closed sum) / 2 negative neighbours, so the
+    # closed sums of the positives count the edges (1,2) and (3,0)
+    assert sum((3 - ev.closed_sums[v]) // 2 for v in (0, 1)) == 2
 
 
 def test_evaluate_hajos_triangle_positive():
@@ -171,8 +173,55 @@ def test_bnb_matches_bruteforce_on_seeded_gnp(n, p):
                 assert bnb.satisfied_count == brute.satisfied_count
 
 
+# Edge cases of the packed search state: one field, fields no branch
+# touches, one field every branch touches, several components, and every
+# field touched by every branch.
+_PACKING_EDGE_GRAPHS = [
+    pytest.param(Graph.from_edges(1, []), id="n1"),
+    pytest.param(Graph.from_edges(6, []), id="isolated6"),
+    pytest.param(Graph.from_edges(8, [(0, v) for v in range(1, 8)]), id="star8"),
+    pytest.param(
+        Graph.from_edges(10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (7, 8)]),
+        id="disconnected10",
+    ),
+    pytest.param(gen_complete(9), id="K9"),
+]
+
+
+@pytest.mark.parametrize("g", _PACKING_EDGE_GRAPHS)
+def test_bnb_matches_bruteforce_on_packing_edges(g):
+    for k in range(1, g.vertex_count + 1):
+        for mode in (Mode.NONNEG, Mode.SIGNED):
+            bnb = solve_bnb(g, k, mode)
+            brute = solve_bruteforce(g, k, mode)
+            assert (bnb.optimum, bnb.witness) == (brute.optimum, brute.witness), (k, mode)
+            assert bnb.satisfied_count == brute.satisfied_count
+
+
+# (nodes, prunes_weight, prunes_satisfiability, prunes_residual,
+# prunes_global_lb), recorded from the list-based search state that the
+# packed one replaced: the search must stay the same node for node.
+@pytest.mark.parametrize(
+    "g, k, mode, counters",
+    [
+        pytest.param(gen_sun(4), 16, Mode.NONNEG, (25, 7, 0, 0, 1), id="sun4-k16-nonneg"),
+        pytest.param(gen_sun(4), 16, Mode.SIGNED, (25, 7, 0, 0, 1), id="sun4-k16-signed"),
+        pytest.param(gen_sun(4), 8, Mode.NONNEG, (469, 9, 19, 205, 0), id="sun4-k8-nonneg"),
+        pytest.param(gen_sun(4), 8, Mode.SIGNED, (469, 9, 19, 205, 0), id="sun4-k8-signed"),
+        pytest.param(gen_cycle(46), 46, Mode.SIGNED, (62, 0, 0, 14, 1), id="C46-signed"),
+        pytest.param(gen_gnp(16, 0.5, 0), 8, Mode.NONNEG, (3639, 1, 473, 1344, 0), id="gnp16s0-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 8, Mode.SIGNED, (5533, 1, 918, 1846, 0), id="gnp16s0-signed"),
+        pytest.param(gen_gnp(16, 0.5, 1), 8, Mode.NONNEG, (3933, 1, 564, 1400, 0), id="gnp16s1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 1), 8, Mode.SIGNED, (4473, 1, 738, 1496, 0), id="gnp16s1-signed"),
+    ],
+)
+def test_bnb_search_counters_pinned(g, k, mode, counters):
+    s = solve_bnb(g, k, mode).stats
+    assert (s.nodes, s.prunes_weight, s.prunes_satisfiability, s.prunes_residual, s.prunes_global_lb) == counters
+
+
 def test_bnb_cycles_signed_match_reference_quickly():
-    for n in range(15, 47):
+    for n in [*range(15, 47), 63, 64]:  # past the field-width steps at 32 and 64
         g = gen_cycle(n)
         r = solve_bnb(g, n, Mode.SIGNED)
         assert r.optimum == exact_cycle_signed(n)
@@ -290,9 +339,10 @@ def test_eval_structure(g, data):
         # satisfied even-degree vertices clear 1, not just 0
         if g.degree(v) % 2 == 0 and v in ev.satisfied:
             assert ev.closed_sums[v] >= 1
-    # |E(P,M)| counted edge by edge agrees with the degree-split count
+    # |E(P,M)| counted edge by edge agrees with the count read off the
+    # closed sums: a positive v has (d_v + 1 - closed sum) / 2 negative neighbours
     pos = f.positives()
-    assert ev.crossing_edges == sum(
+    assert sum((g.degree(v) + 1 - ev.closed_sums[v]) // 2 for v in pos) == sum(
         1 for u, v in g.edges() if (u in pos) != (v in pos)
     )
     assert ev.p1 | ev.m1 == ev.satisfied
