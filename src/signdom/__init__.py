@@ -50,13 +50,13 @@ from .reference import (
     reference_table,
 )
 from .solver import (
-    AUTO_BRUTE_MAX,
     BRUTE_FORCE_CAP,
     EvalResult,
     Mode,
     SearchStats,
     SignAssignment,
     SolveResult,
+    bruteforce_optima,
     evaluate,
     greedy_upper,
     result_record,

@@ -151,20 +151,13 @@ def bound_ksub_2(profile: DegreeProfile, k: int) -> Fraction:
     )
 
 
-def bound_regular(profile: DegreeProfile, k: int | None = None, mode: str = "ksub") -> Fraction:
+def bound_regular(profile: DegreeProfile, k: int) -> Fraction:
     """Lower bound for r-regular graphs: k(r+2)/(r+1) - n for even r, k - n
-    for odd r. ``mode`` selects the full-domination form ("full", k = n)
-    or the k-sub form ("ksub", k required).
+    for odd r; k = n gives the full-domination form.
     """
     _require_order(profile)
     if not profile.is_regular:
         raise ValueError("bound_regular requires a regular graph")
-    if mode == "full":
-        k = profile.n
-    elif mode != "ksub":
-        raise ValueError(f"mode must be 'full' or 'ksub', got {mode!r}")
-    if k is None:
-        raise ValueError("k is required in ksub mode")
     _check_k(profile, k)
     r = profile.delta
     if r % 2 == 0:

@@ -73,19 +73,12 @@ def _records_to_csv(records: list[dict[str, object]]) -> str:
               help="Output format for records and tables (default per command).")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for seeded operations.")
-@click.option("--deterministic", is_flag=True,
-              help="Force single-worker execution with canonical witnesses.")
 @click.option("--brute-cap", type=int, default=BRUTE_FORCE_CAP, show_default=True,
               help="Vertex limit for the exhaustive solver.")
 @click.pass_context
-def main(ctx: click.Context, fmt: str | None, seed: int, deterministic: bool, brute_cap: int) -> None:
+def main(ctx: click.Context, fmt: str | None, seed: int, brute_cap: int) -> None:
     """Exact signed and nonnegative signed k-subdomination numbers."""
-    ctx.obj = {
-        "format": fmt,
-        "seed": seed,
-        "deterministic": deterministic,
-        "brute_cap": brute_cap,
-    }
+    ctx.obj = {"format": fmt, "seed": seed, "brute_cap": brute_cap}
 
 
 @main.command()
@@ -215,8 +208,6 @@ def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed,
         seeds_per_cell=seeds,
         base_seed=seed if seed is not None else ctx.obj["seed"],
     )
-    if ctx.obj["deterministic"]:
-        workers = 1
     try:
         report = verify_mod.run_campaign(
             spec,

@@ -7,7 +7,6 @@ Graphs are frozen after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -124,6 +123,8 @@ class Graph:
 
     def canonical_id(self) -> str:
         """Short content hash of the canonical DIMACS serialization."""
+        import hashlib  # on use: only this method needs it, and it slows `import signdom`
+
         return hashlib.sha256(to_dimacs(self).encode("ascii")).hexdigest()[:12]
 
 

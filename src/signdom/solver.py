@@ -8,7 +8,10 @@ at least k vertices.
 
 Two independent engines compute it: exhaustive enumeration
 (:func:`solve_bruteforce`, the oracle) and depth-first branch-and-bound
-(:func:`solve_bnb`). Both return the same canonical witness: the
+(:func:`solve_bnb`). One enumeration per mode answers every k
+(:func:`bruteforce_optima`): it keeps the least weight for each exact
+satisfied count, and the optimum for k is the least over counts >= k.
+Both engines return the same canonical witness: the
 lexicographically smallest optimal sign vector under the ordering
 +1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
 search: it branches vertices in id order, +1 first, accepts ties with the
@@ -39,15 +42,14 @@ __all__ = [
     "evaluate",
     "greedy_upper",
     "solve_bruteforce",
+    "bruteforce_optima",
     "solve_bnb",
     "solve",
     "result_record",
     "BRUTE_FORCE_CAP",
-    "AUTO_BRUTE_MAX",
 ]
 
 BRUTE_FORCE_CAP = 20
-AUTO_BRUTE_MAX = 14
 
 
 class Mode(enum.Enum):
@@ -195,6 +197,60 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     return SignAssignment(tuple(signs))
 
 
+def _brute_force(graph: Graph, mode: Mode, cap: int, ks: range) -> dict[int, SolveResult]:
+    """Exact results for every k in ``ks`` from one pass over all 2^n
+    assignments.
+
+    For each exact satisfied count c >= min(ks) it records the least
+    weight and the first mask reaching it; the result for k is the least
+    (weight, mask) over c >= k, and its satisfied count is that c. A mask
+    is skipped, uncounted, when its weight is at least the current optimum
+    for max(ks): since optima never decrease in k, it cannot lower the
+    optimum for any k in ``ks``.
+    """
+    n = graph.vertex_count
+    if n > cap:
+        raise ValueError(f"brute force capped at {cap} vertices (graph has {n}); raise cap to override")
+    tau = mode.threshold
+    # Bit n-1-v holds vertex v (1 = sign -1), so ascending mask order is
+    # lexicographic order on sign vectors with +1 < -1.
+    closed = [
+        (
+            sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)),
+            (graph.degree(v) + 1 - tau) // 2,  # most negatives N[v] may hold
+        )
+        for v in range(n)
+    ]
+    k_lo, k_hi = ks[0], ks[-1]
+    best_weight = [n + 1] * (n + 1)  # per exact count; n + 1: none yet
+    best_mask = [0] * (n + 1)
+    cutoff = n + 1  # current optimum for k_hi
+    for mask in range(1 << n):
+        weight = n - 2 * mask.bit_count()
+        if weight >= cutoff:
+            continue
+        count = 0
+        for cmask, most in closed:
+            if (mask & cmask).bit_count() <= most:
+                count += 1
+        if count >= k_lo and weight < best_weight[count]:
+            best_weight[count] = weight
+            best_mask[count] = mask
+            if count >= k_hi:
+                cutoff = weight
+    results: dict[int, SolveResult] = {}
+    best = (n + 1, 0, n)  # (weight, mask, count), least over counts >= k
+    for k in range(n, k_lo - 1, -1):
+        best = min(best, (best_weight[k], best_mask[k], k))
+        if k in ks:
+            weight, mask, count = best
+            witness = SignAssignment(
+                tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
+            )
+            results[k] = SolveResult(weight, witness, count, SearchStats(nodes=1 << n))
+    return results
+
+
 def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
     """Exact optimum by enumerating all 2^n assignments.
 
@@ -202,38 +258,17 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     cap is raised explicitly. The witness is the lexicographically
     smallest optimal sign vector.
     """
+    _check_k(graph.vertex_count, k)
+    return _brute_force(graph, mode, cap, range(k, k + 1))[k]
+
+
+def bruteforce_optima(graph: Graph, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> dict[int, SolveResult]:
+    """:func:`solve_bruteforce` for every k in 1..n, keyed by k, from one
+    enumeration of the 2^n assignments."""
     n = graph.vertex_count
-    _check_k(n, k)
-    if n > cap:
-        raise ValueError(f"brute force capped at {cap} vertices (graph has {n}); raise cap to override")
-    tau = mode.threshold
-    # Bit n-1-v holds vertex v (1 = sign -1), so ascending mask order is
-    # lexicographic order on sign vectors with +1 < -1.
-    cmasks = [
-        sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)) for v in range(n)
-    ]
-    need = [graph.degree(v) + 1 - tau for v in range(n)]  # max negatives in N[v]
-    best_weight: int | None = None
-    best_mask = 0
-    rng = range(n)
-    for mask in range(1 << n):
-        weight = n - 2 * mask.bit_count()
-        if best_weight is not None and weight >= best_weight:
-            continue
-        count = 0
-        for v in rng:
-            # closed sum = deg+1 - 2*(# -1s in N[v]) >= tau, rearranged
-            if 2 * (mask & cmasks[v]).bit_count() <= need[v]:
-                count += 1
-        if count >= k:
-            best_weight = weight
-            best_mask = mask
-    assert best_weight is not None  # all-(+1) (mask 0) is always feasible
-    witness = SignAssignment(
-        tuple(-1 if (best_mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
-    )
-    ev = evaluate(graph, witness, mode)
-    return SolveResult(best_weight, witness, ev.satisfied_count, SearchStats(nodes=1 << n))
+    if n < 1:
+        raise ValueError("solving requires a graph with n >= 1")
+    return _brute_force(graph, mode, cap, range(1, n + 1))
 
 
 def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
@@ -376,13 +411,11 @@ def solve(
     algorithm: str = "auto",
     brute_cap: int = BRUTE_FORCE_CAP,
 ) -> SolveResult:
-    """Dispatch to an exact engine; ``auto`` uses brute force up to
-    AUTO_BRUTE_MAX (14) vertices and branch-and-bound above."""
-    if algorithm == "auto":
-        algorithm = "brute" if graph.vertex_count <= AUTO_BRUTE_MAX else "bnb"
+    """Dispatch to an exact engine: ``auto`` and ``bnb`` run
+    branch-and-bound, ``brute`` the exhaustive oracle."""
     if algorithm == "brute":
         return solve_bruteforce(graph, k, mode, cap=brute_cap)
-    if algorithm == "bnb":
+    if algorithm in ("auto", "bnb"):
         return solve_bnb(graph, k, mode)
     raise ValueError(f"algorithm must be 'auto', 'brute' or 'bnb', got {algorithm!r}")
 

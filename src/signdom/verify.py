@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
@@ -33,10 +32,10 @@ from .solver import (
     Mode,
     SignAssignment,
     SolveResult,
+    bruteforce_optima,
     evaluate,
     greedy_upper,
     solve_bnb,
-    solve_bruteforce,
 )
 
 __all__ = [
@@ -102,6 +101,8 @@ def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
     for family in spec.families:
         if family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+    if spec.seeds_per_cell < 0:
+        raise ValueError(f"seeds_per_cell must be >= 0, got {spec.seeds_per_cell}")
     out: list[tuple[str, Graph]] = []
     if "complete" in spec.families:
         out.extend((f"complete(n={n})", gen_complete(n)) for n in range(1, spec.n_max + 1))
@@ -331,9 +332,10 @@ def _graph_battery(
     use_brute = n <= brute_threshold
     exact: dict[tuple[Mode, int], SolveResult] = {}
     for mode in (Mode.NONNEG, Mode.SIGNED):
+        oracle = bruteforce_optima(graph, mode) if use_brute else {}
         for k in ks:
             bnb = solve_bnb(graph, k, mode)
-            brute = solve_bruteforce(graph, k, mode) if use_brute else None
+            brute = oracle.get(k)
             exact[(mode, k)] = brute if brute is not None else bnb
 
             if brute is not None:
@@ -477,6 +479,8 @@ def run_campaign(
     ``workers`` > 1 distributes graphs over a process pool; aggregation
     order is fixed by the ensemble order either way.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spec = spec or EnsembleSpec()
     names = checks if checks is not None else CHECK_NAMES
     for name in names:
@@ -492,6 +496,10 @@ def run_campaign(
 
     merged: dict[str, CheckResult] = {name: CheckResult(name) for name in sorted(active)}
     if workers > 1:
+        # imported here: loading the pool machinery costs every
+        # `import signdom` a third of its time, and only this branch needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_graph_battery, tasks, chunksize=16))
     else:

@@ -129,16 +129,12 @@ def test_bounds_reject_empty_graph():
 
 
 def test_regular_bound():
-    assert bound_regular(C6, mode="full") == 2  # n/(r+1) for even r
-    assert bound_regular(K4, mode="full") == 0  # odd r
+    assert bound_regular(C6, 6) == 2  # n/(r+1) for even r
+    assert bound_regular(K4, 4) == 0  # odd r
     assert bound_regular(K4, 2) == -2  # k - n for odd r
-    assert bound_regular(profile_of(gen_cycle(9)), 9, mode="ksub") == 3
+    assert bound_regular(profile_of(gen_cycle(9)), 9) == 3
     with pytest.raises(ValueError, match="regular"):
         bound_regular(SUN2, 8)
-    with pytest.raises(ValueError, match="mode"):
-        bound_regular(C6, 6, mode="nope")
-    with pytest.raises(ValueError, match="k is required"):
-        bound_regular(C6)
 
 
 # --- parity lifting ---

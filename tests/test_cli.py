@@ -241,12 +241,27 @@ def test_verify_rejects_unknown_check(runner):
 
 
 def test_verify_deterministic_flag_and_workers(runner):
-    result = runner.invoke(
-        main,
-        ["--deterministic", "verify", "--family", "hajos", "--workers", "4"],
-    )
+    result = runner.invoke(main, ["verify", "--family", "hajos", "--workers", "4"])
     assert result.exit_code == 0
     assert "RESULT: PASS" in result.output
+    # reports are identical at any worker count, so no flag forces one
+    result = runner.invoke(main, ["--deterministic", "verify", "--family", "hajos"])
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--family", "hajos", "--workers", "0"], "workers"),
+        (["--family", "hajos", "--workers", "-1"], "workers"),
+        (["--family", "gnp", "--seeds", "-1"], "seeds_per_cell"),
+    ],
+)
+def test_verify_bad_counts_are_usage_errors(runner, args, message):
+    result = runner.invoke(main, ["verify", *args])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "RESULT" not in result.output
 
 
 def test_gen_circulant_offsets(runner):

@@ -3,10 +3,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signdom import (
-    AUTO_BRUTE_MAX,
     Graph,
     Mode,
     SignAssignment,
+    bruteforce_optima,
     evaluate,
     exact_cycle_signed,
     gen_circulant,
@@ -163,12 +163,14 @@ def test_bnb_counts_nodes_when_searching():
 @pytest.mark.parametrize("n", [12, 14])
 @pytest.mark.parametrize("p", [0.3, 0.5])
 def test_bnb_matches_bruteforce_on_seeded_gnp(n, p):
+    ks = range(1, n + 1) if n == 12 else sorted({1, n // 2, n})
     for seed in range(3):
         g = gen_gnp(n, p, seed)
-        for k in sorted({1, n // 2, n}):
-            for mode in (Mode.NONNEG, Mode.SIGNED):
+        for mode in (Mode.NONNEG, Mode.SIGNED):
+            optima = bruteforce_optima(g, mode)
+            for k in ks:
                 bnb = solve_bnb(g, k, mode)
-                brute = solve_bruteforce(g, k, mode)
+                brute = optima[k]
                 assert (bnb.optimum, bnb.witness) == (brute.optimum, brute.witness), (seed, k, mode)
                 assert bnb.satisfied_count == brute.satisfied_count
 
@@ -258,10 +260,9 @@ def test_greedy_feasible_everywhere(g, data):
 
 
 def test_solve_auto_dispatch():
-    small = solve(gen_cycle(6), 6, Mode.NONNEG)
-    assert small.stats.nodes == 64  # exhaustive: n <= AUTO_BRUTE_MAX
-    big = solve(gen_cycle(AUTO_BRUTE_MAX + 1), AUTO_BRUTE_MAX + 1, Mode.NONNEG)
-    assert big.optimum == 5  # C_15: n/3
+    g = gen_cycle(6)
+    assert solve(g, 6, Mode.NONNEG) == solve_bnb(g, 6, Mode.NONNEG)
+    assert solve(g, 6, Mode.NONNEG, algorithm="brute").stats.nodes == 64
     with pytest.raises(ValueError):
         solve(gen_cycle(4), 4, Mode.NONNEG, algorithm="magic")
 
@@ -296,6 +297,28 @@ def test_engines_match_oracle(g, data):
     assert brute.satisfied_count >= k
     assert bnb.satisfied_count >= k
     assert (opt - n) % 2 == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+def test_bruteforce_optima_match_oracle_at_every_k(g):
+    n = g.vertex_count
+    for mode in (Mode.NONNEG, Mode.SIGNED):
+        optima = bruteforce_optima(g, mode)
+        assert sorted(optima) == list(range(1, n + 1))
+        for k, r in optima.items():
+            assert (r.optimum, r.witness.values) == naive_minimum(g, k, mode)
+            assert r.satisfied_count == evaluate(g, r.witness, mode).satisfied_count >= k
+            assert r.stats.nodes == 1 << n
+        values = [optima[k].optimum for k in range(1, n + 1)]
+        assert values == sorted(values)
+
+
+def test_bruteforce_optima_rejects_empty_and_oversized_graphs():
+    with pytest.raises(ValueError, match="n >= 1"):
+        bruteforce_optima(Graph.from_edges(0, []), Mode.NONNEG)
+    with pytest.raises(ValueError, match="capped"):
+        bruteforce_optima(gen_cycle(8), Mode.SIGNED, cap=7)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import signdom
 import signdom.bounds as bounds_mod
 from signdom import (
     CHECK_NAMES,
@@ -99,6 +103,24 @@ def test_campaign_parallel_matches_sequential():
     a.pop("generated_at")
     b.pop("generated_at")
     assert a == b
+
+
+def test_import_loads_no_process_pool_or_hashlib():
+    # only run_campaign(workers > 1) and Graph.canonical_id need these, and
+    # loading them up front costs about a third of the package's import time
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import signdom\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(signdom.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "signdom" in out
+    assert not {"multiprocessing", "concurrent.futures", "hashlib"} & set(out)
 
 
 def test_injected_mutant_is_caught_and_replayable(monkeypatch):
