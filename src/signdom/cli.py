@@ -1,6 +1,9 @@
 """Command-line front end: generate graphs, solve instances, print bound
 tables, and run verification campaigns.
 
+The group takes no options: each option sits on the one command that
+reads it, and accepts only values that change that command's output.
+
 Exit codes: 0 success, 1 verification-check failure, 2 usage or parse error.
 """
 
@@ -69,16 +72,8 @@ def _records_to_csv(records: list[dict[str, object]]) -> str:
 
 
 @click.group()
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl", "text"]), default=None,
-              help="Output format for records and tables (default per command).")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Base seed for seeded operations.")
-@click.option("--brute-cap", type=int, default=BRUTE_FORCE_CAP, show_default=True,
-              help="Vertex limit for the exhaustive solver.")
-@click.pass_context
-def main(ctx: click.Context, fmt: str | None, seed: int, brute_cap: int) -> None:
+def main() -> None:
     """Exact signed and nonnegative signed k-subdomination numbers."""
-    ctx.obj = {"format": fmt, "seed": seed, "brute_cap": brute_cap}
 
 
 @main.command()
@@ -86,13 +81,12 @@ def main(ctx: click.Context, fmt: str | None, seed: int, brute_cap: int) -> None
 @click.option("--n", type=int, help="Order, for complete/cycle/path/circulant/gnp.")
 @click.option("--t", type=int, help="Half cycle length, for sun.")
 @click.option("--p", type=float, help="Edge probability, for gnp.")
-@click.option("--seed", type=int, default=None, help="Seed for gnp (falls back to the global seed).")
+@click.option("--seed", type=int, default=0, show_default=True, help="Seed, for gnp.")
 @click.option("--offsets", default="1", show_default=True, help="Comma-separated circulant offsets.")
 @click.option("--graph-format", type=click.Choice(["edgelist", "dimacs"]), default="edgelist",
               show_default=True, help="On-disk format.")
 @click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
-@click.pass_context
-def gen(ctx, family, n, t, p, seed, offsets, graph_format, output):
+def gen(family, n, t, p, seed, offsets, graph_format, output):
     """Generate a named graph family member."""
     try:
         if family == "complete":
@@ -109,8 +103,7 @@ def gen(ctx, family, n, t, p, seed, offsets, graph_format, output):
             offs = [int(s) for s in offsets.split(",") if s.strip()]
             graph = gen_circulant(_require(n, "--n"), offs)
         else:
-            gnp_seed = seed if seed is not None else ctx.obj["seed"]
-            graph = gen_gnp(_require(n, "--n"), _require(p, "--p"), gnp_seed)
+            graph = gen_gnp(_require(n, "--n"), _require(p, "--p"), seed)
     except ValueError as e:
         raise click.UsageError(str(e))
     text = to_dimacs(graph) if graph_format == "dimacs" else to_edge_list(graph)
@@ -127,22 +120,25 @@ def _require(value, flag):
 @click.argument("graph_file", type=click.Path(exists=True))
 @click.option("--k", type=int, default=None, help="Subdomination parameter (default: n).")
 @click.option("--mode", type=click.Choice(["nonneg", "signed"]), default="nonneg", show_default=True)
-@click.option("--algorithm", type=click.Choice(["auto", "brute", "bnb"]), default="auto", show_default=True)
+@click.option("--algorithm", type=click.Choice(["bnb", "brute"]), default="bnb", show_default=True)
+@click.option("--brute-cap", type=int, default=BRUTE_FORCE_CAP, show_default=True,
+              help="Vertex limit for --algorithm brute.")
 @click.option("--input-format", type=click.Choice(["auto", "edgelist", "dimacs"]), default="auto", show_default=True)
 @click.option("--order", type=int, default=None, help="Vertex-count override for edge-list input.")
+@click.option("--format", "fmt", type=click.Choice(["jsonl", "text"]), default="jsonl", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@click.pass_context
-def solve_cmd(ctx, graph_file, k, mode, algorithm, input_format, order, output):
-    """Solve one instance exactly; emits one JSON-lines record."""
+def solve_cmd(graph_file, k, mode, algorithm, brute_cap, input_format, order, fmt, output):
+    """Solve one instance exactly; emits one record (JSON lines or text)."""
     graph = _load_graph(graph_file, input_format, order)
     if k is None:
         k = graph.vertex_count
+    mode = Mode(mode)
     try:
-        result = solve(graph, k, Mode.parse(mode), algorithm, brute_cap=ctx.obj["brute_cap"])
+        result = solve(graph, k, mode, algorithm, brute_cap=brute_cap)
     except ValueError as e:
         raise click.UsageError(str(e))
-    record = result_record(graph, k, Mode.parse(mode), result)
-    if ctx.obj["format"] == "text":
+    record = result_record(graph, k, mode, result)
+    if fmt == "text":
         lines = [f"{key} = {value}" for key, value in record.items()]
         _emit("\n".join(lines) + "\n", output)
     else:
@@ -154,9 +150,9 @@ def solve_cmd(ctx, graph_file, k, mode, algorithm, input_format, order, output):
 @click.option("--k", type=int, default=None, help="Subdomination parameter (default: n).")
 @click.option("--input-format", type=click.Choice(["auto", "edgelist", "dimacs"]), default="auto", show_default=True)
 @click.option("--order", type=int, default=None, help="Vertex-count override for edge-list input.")
+@click.option("--format", "fmt", type=click.Choice(["text", "jsonl", "csv"]), default="text", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@click.pass_context
-def bounds_cmd(ctx, graph_file, k, input_format, order, output):
+def bounds_cmd(graph_file, k, input_format, order, fmt, output):
     """Print every named lower bound for one graph."""
     graph = _load_graph(graph_file, input_format, order)
     if k is None:
@@ -165,7 +161,6 @@ def bounds_cmd(ctx, graph_file, k, input_format, order, output):
         report = bounds_mod.bound_report(graph, k)
     except ValueError as e:
         raise click.UsageError(str(e))
-    fmt = ctx.obj["format"] or "text"
     if fmt == "jsonl":
         _emit(json.dumps(report.to_record(), sort_keys=True) + "\n", output)
     elif fmt == "csv":
@@ -194,11 +189,11 @@ def bounds_cmd(ctx, graph_file, k, input_format, order, output):
               help="Run only these checks (repeatable; default: all).")
 @click.option("--k", "k_policy", type=click.Choice(["default", "all"]), default="default",
               show_default=True, help="k sweep: {1, ceil(n/2), n} or all of 1..n.")
-@click.option("--seed", type=int, default=None, help="Base seed (falls back to the global seed).")
+@click.option("--seed", type=int, default=0, show_default=True, help="Base seed of the G(n,p) draws.")
 @click.option("--workers", type=int, default=1, show_default=True, help="Parallel graph workers.")
+@click.option("--format", "fmt", type=click.Choice(["text", "jsonl"]), default="text", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write the JSON report here.")
-@click.pass_context
-def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed, workers, output):
+def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, workers, fmt, output):
     """Run invariant checks over a reproducible ensemble; exit 1 on failure."""
     spec = verify_mod.EnsembleSpec(
         families=tuple(families) or verify_mod.ALL_FAMILIES,
@@ -206,7 +201,7 @@ def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed,
         n_max=n_max,
         p_values=tuple(p_values) or (0.2, 0.5, 0.8),
         seeds_per_cell=seeds,
-        base_seed=seed if seed is not None else ctx.obj["seed"],
+        base_seed=seed,
     )
     try:
         report = verify_mod.run_campaign(
@@ -217,11 +212,11 @@ def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed,
         )
     except ValueError as e:
         raise click.UsageError(str(e))
-    report_json = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    payload = report.to_dict()
     if output:
-        Path(output).write_text(report_json)
-    if ctx.obj["format"] == "jsonl":
-        click.echo(json.dumps(report.to_dict(), sort_keys=True))
+        Path(output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if fmt == "jsonl":
+        click.echo(json.dumps(payload, sort_keys=True))
     else:
         click.echo(f"graphs: {report.graph_count}   k-policy: {report.k_policy}")
         for c in report.checks:
@@ -248,9 +243,9 @@ def verify(ctx, families, n_min, n_max, p_values, seeds, checks, k_policy, seed,
               show_default=True, help="k = n, ceil(n/2), or 1.")
 @click.option("--mode", "mode_name", type=click.Choice(["nonneg", "signed", "both"]),
               default="nonneg", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@click.pass_context
-def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
+def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
     """Sweep a family and tabulate exact values next to every bound."""
     if start > end:
         raise click.UsageError(f"--start ({start}) must not exceed --end ({end})")
@@ -261,7 +256,7 @@ def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
         "sun": gen_sun,
         "circulant": lambda n: gen_circulant(n, [int(s) for s in offsets.split(",") if s.strip()]),
     }
-    modes = [Mode.NONNEG, Mode.SIGNED] if mode_name == "both" else [Mode.parse(mode_name)]
+    modes = [Mode.NONNEG, Mode.SIGNED] if mode_name == "both" else [Mode(mode_name)]
     records: list[dict[str, object]] = []
     for param in range(start, end + 1):
         try:
@@ -273,9 +268,13 @@ def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
         profile = degree_profile(graph)
         n = graph.vertex_count
         k = {"full": n, "half": math.ceil(n / 2), "one": 1}[k_policy]
+        report = bounds_mod.bound_report(graph, k)  # the bounds do not depend on mode
+        raws = {
+            f"bound.{name}.raw": "" if report[name].raw is None else str(report[name].raw)
+            for name in bounds_mod.BOUND_NAMES
+        }
         for mode in modes:
-            result = solve(graph, k, mode, brute_cap=ctx.obj["brute_cap"])
-            record: dict[str, object] = {
+            records.append({
                 "family": family,
                 "param": param,
                 "n": n,
@@ -285,14 +284,9 @@ def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
                 "n_e": profile.n_e,
                 "mode": mode.value,
                 "k": k,
-                "exact": result.optimum,
-            }
-            report = bounds_mod.bound_report(graph, k)
-            for name in bounds_mod.BOUND_NAMES:
-                b = report[name]
-                record[f"bound.{name}.raw"] = "" if b.raw is None else str(b.raw)
-            records.append(record)
-    fmt = ctx.obj["format"] or "csv"
+                "exact": solve(graph, k, mode).optimum,
+                **raws,
+            })
     if fmt == "jsonl":
         _emit("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), output)
     else:
@@ -301,8 +295,7 @@ def table(ctx, family, start, end, offsets, k_policy, mode_name, output):
 
 @main.command()
 @click.option("-o", "--output", type=click.Path(), default=None)
-@click.pass_context
-def refs(ctx, output):
+def refs(output):
     """Dump the table of known exact family values as CSV."""
     records = [
         {

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 from .graph import Graph
@@ -61,15 +61,6 @@ class Mode(enum.Enum):
     @property
     def threshold(self) -> int:
         return 0 if self is Mode.NONNEG else 1
-
-    @classmethod
-    def parse(cls, name: "str | Mode") -> "Mode":
-        if isinstance(name, Mode):
-            return name
-        try:
-            return cls(name)
-        except ValueError:
-            raise ValueError(f"mode must be 'nonneg' or 'signed', got {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -169,31 +160,27 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     """Feasible assignment found by greedy sign flips.
 
     Starts from all-(+1), which satisfies every vertex in both modes, and
-    repeatedly flips vertices to -1 (ascending degree, ties by id) while
-    at least k vertices stay satisfied. The result is feasible by
-    construction but carries no optimality guarantee.
+    sweeps the vertices once (ascending degree, ties by id), flipping each
+    to -1 when at least k vertices stay satisfied. One sweep suffices: the
+    vertices that stay satisfied if u flips only shrink as sums drop, so a
+    vertex refused once is refused again. The result is feasible and
+    maximal (flipping any remaining +1 vertex leaves fewer than k
+    satisfied) but carries no optimality guarantee.
     """
     n = graph.vertex_count
     _check_k(n, k)
     tau = mode.threshold
     signs = [1] * n
     sums = [graph.degree(v) + 1 for v in range(n)]
-    closed = [sorted(graph.closed_neighborhood(v)) for v in range(n)]
     satisfied = n
-    order = sorted(range(n), key=lambda v: (graph.degree(v), v))
-    improved = True
-    while improved:
-        improved = False
-        for v in order:
-            if signs[v] < 0:
-                continue
-            lost = sum(1 for u in closed[v] if tau <= sums[u] < tau + 2)
-            if satisfied - lost >= k:
-                signs[v] = -1
-                for u in closed[v]:
-                    sums[u] -= 2
-                satisfied -= lost
-                improved = True
+    for v in sorted(range(n), key=lambda v: (graph.degree(v), v)):
+        closed = graph.closed_neighborhood(v)
+        lost = sum(1 for u in closed if tau <= sums[u] < tau + 2)
+        if satisfied - lost >= k:
+            signs[v] = -1
+            for u in closed:
+                sums[u] -= 2
+            satisfied -= lost
     return SignAssignment(tuple(signs))
 
 
@@ -408,16 +395,17 @@ def solve(
     graph: Graph,
     k: int,
     mode: Mode,
-    algorithm: str = "auto",
+    algorithm: str = "bnb",
     brute_cap: int = BRUTE_FORCE_CAP,
 ) -> SolveResult:
-    """Dispatch to an exact engine: ``auto`` and ``bnb`` run
-    branch-and-bound, ``brute`` the exhaustive oracle."""
+    """Dispatch to an exact engine: ``bnb`` (the default) runs
+    branch-and-bound, ``brute`` the exhaustive oracle, which refuses
+    graphs with more than ``brute_cap`` vertices."""
+    if algorithm == "bnb":
+        return solve_bnb(graph, k, mode)
     if algorithm == "brute":
         return solve_bruteforce(graph, k, mode, cap=brute_cap)
-    if algorithm in ("auto", "bnb"):
-        return solve_bnb(graph, k, mode)
-    raise ValueError(f"algorithm must be 'auto', 'brute' or 'bnb', got {algorithm!r}")
+    raise ValueError(f"algorithm must be 'bnb' or 'brute', got {algorithm!r}")
 
 
 def result_record(graph: Graph, k: int, mode: Mode, result: SolveResult) -> dict[str, object]:
@@ -431,9 +419,5 @@ def result_record(graph: Graph, k: int, mode: Mode, result: SolveResult) -> dict
         "optimum": result.optimum,
         "satisfied_count": result.satisfied_count,
         "witness": result.witness.to_string(),
-        "stats.nodes": result.stats.nodes,
-        "stats.prunes_weight": result.stats.prunes_weight,
-        "stats.prunes_satisfiability": result.stats.prunes_satisfiability,
-        "stats.prunes_residual": result.stats.prunes_residual,
-        "stats.prunes_global_lb": result.stats.prunes_global_lb,
+        **{f"stats.{f.name}": getattr(result.stats, f.name) for f in fields(SearchStats)},
     }

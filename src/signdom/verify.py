@@ -66,6 +66,10 @@ CHECK_NAMES = (
 
 _SOLVE_CHECKS = frozenset(CHECK_NAMES) - {"degree-identity", "ksub-reduction"}
 
+# Graphs with at most this many vertices are also solved by exhaustive
+# enumeration, the oracle of the oracle-equivalence check.
+BRUTE_THRESHOLD = 14
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -101,6 +105,8 @@ def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
     for family in spec.families:
         if family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+    if spec.n_min < 1:
+        raise ValueError(f"n_min must be >= 1, got {spec.n_min}")
     if spec.seeds_per_cell < 0:
         raise ValueError(f"seeds_per_cell must be >= 0, got {spec.seeds_per_cell}")
     out: list[tuple[str, Graph]] = []
@@ -303,9 +309,9 @@ def _degree_inequality_subdomination(
 
 
 def _graph_battery(
-    args: tuple[str, Graph, tuple[int, ...], frozenset[str], int]
+    args: tuple[str, Graph, tuple[int, ...], frozenset[str]]
 ) -> list[CheckResult]:
-    label, graph, ks, active, brute_threshold = args
+    label, graph, ks, active = args
     tally = _Tally(label, graph, active)
     profile = degree_profile(graph)
     n = graph.vertex_count
@@ -329,7 +335,7 @@ def _graph_battery(
     if not (_SOLVE_CHECKS & active):
         return sorted(tally.results.values(), key=lambda r: r.name)
 
-    use_brute = n <= brute_threshold
+    use_brute = n <= BRUTE_THRESHOLD
     exact: dict[tuple[Mode, int], SolveResult] = {}
     for mode in (Mode.NONNEG, Mode.SIGNED):
         oracle = bruteforce_optima(graph, mode) if use_brute else {}
@@ -472,12 +478,14 @@ def run_campaign(
     k_policy: str = "default",
     checks: tuple[str, ...] | None = None,
     workers: int = 1,
-    brute_threshold: int = 14,
 ) -> CampaignReport:
     """Run the selected checks over the ensemble and aggregate a report.
 
-    ``workers`` > 1 distributes graphs over a process pool; aggregation
-    order is fixed by the ensemble order either way.
+    Every graph is solved by branch-and-bound; graphs with at most
+    ``BRUTE_THRESHOLD`` vertices are also solved by exhaustive enumeration
+    for the oracle-equivalence check. ``workers`` > 1 distributes graphs
+    over a process pool; aggregation order is fixed by the ensemble order
+    either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -490,7 +498,7 @@ def run_campaign(
 
     ensemble = build_ensemble(spec)
     tasks = [
-        (label, graph, _k_values(graph.vertex_count, k_policy), active, brute_threshold)
+        (label, graph, _k_values(graph.vertex_count, k_policy), active)
         for label, graph in ensemble
     ]
 

@@ -72,7 +72,7 @@ def test_solve_cycle_signed(runner, tmp_path):
 def test_solve_defaults_k_to_n_and_text_format(runner, tmp_path):
     path = tmp_path / "k4.gr"
     invoke(runner, "gen", "complete", "--n", "4", "-o", str(path))
-    result = invoke(runner, "--format", "text", "solve", str(path))
+    result = invoke(runner, "solve", str(path), "--format", "text")
     assert "optimum = 0" in result.output
     assert "k = 4" in result.output
 
@@ -124,7 +124,7 @@ def test_bounds_text_output(runner, tmp_path):
 def test_bounds_jsonl_output(runner, tmp_path):
     path = tmp_path / "hajos.gr"
     invoke(runner, "gen", "hajos", "-o", str(path))
-    result = invoke(runner, "--format", "jsonl", "bounds", str(path), "--k", "6")
+    result = invoke(runner, "bounds", str(path), "--k", "6", "--format", "jsonl")
     record = json.loads(result.output)
     assert record["bound.nn4.raw"] == "0"
     assert record["bound.nn5.raw"] == "0"
@@ -133,7 +133,7 @@ def test_bounds_jsonl_output(runner, tmp_path):
 def test_bounds_csv_output(runner, tmp_path):
     path = tmp_path / "k5.gr"
     invoke(runner, "gen", "complete", "--n", "5", "-o", str(path))
-    result = invoke(runner, "--format", "csv", "bounds", str(path), "--k", "5")
+    result = invoke(runner, "bounds", str(path), "--k", "5", "--format", "csv")
     header, row = result.output.strip().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
     assert values["bound.nn1.raw"] == "1"
@@ -255,6 +255,7 @@ def test_verify_deterministic_flag_and_workers(runner):
         (["--family", "hajos", "--workers", "0"], "workers"),
         (["--family", "hajos", "--workers", "-1"], "workers"),
         (["--family", "gnp", "--seeds", "-1"], "seeds_per_cell"),
+        (["--family", "gnp", "--n-min", "0"], "n_min"),
     ],
 )
 def test_verify_bad_counts_are_usage_errors(runner, args, message):
@@ -262,6 +263,52 @@ def test_verify_bad_counts_are_usage_errors(runner, args, message):
     assert result.exit_code == 2
     assert message in result.output
     assert "RESULT" not in result.output
+
+
+GRAPH = "<graph file>"  # stands for a C_4 edge list written by the test
+
+
+def _with_graph(args, tmp_path):
+    path = tmp_path / "c4.gr"
+    path.write_text("0 1\n1 2\n2 3\n0 3\n")
+    return [str(path) if a == GRAPH else a for a in args]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--format", "csv", "solve", GRAPH],
+        ["--seed", "1", "gen", "gnp", "--n", "5", "--p", "0.5"],
+        ["--brute-cap", "5", "table", "cycle", "--start", "3", "--end", "4"],
+        ["solve", GRAPH, "--format", "csv"],
+        ["table", "cycle", "--start", "3", "--end", "4", "--format", "text"],
+        ["verify", "--family", "hajos", "--format", "csv"],
+        ["refs", "--format", "jsonl"],
+        ["solve", GRAPH, "--algorithm", "auto"],
+    ],
+)
+def test_option_values_no_command_reads_are_usage_errors(runner, tmp_path, args):
+    result = runner.invoke(main, _with_graph(args, tmp_path))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", GRAPH],
+        ["bounds", GRAPH],
+        ["table", "cycle", "--start", "3", "--end", "5"],
+        ["verify", "--family", "hajos"],
+    ],
+)
+def test_every_format_choice_changes_the_output(runner, tmp_path, args):
+    args = _with_graph(args, tmp_path)
+    (option,) = [p for p in main.commands[args[0]].params if p.name == "fmt"]
+    outputs = {fmt: invoke(runner, *args, "--format", fmt).output for fmt in option.type.choices}
+    assert len(set(outputs.values())) == len(outputs) >= 2
+    assert invoke(runner, *args).output == outputs[option.default]
 
 
 def test_gen_circulant_offsets(runner):

@@ -32,10 +32,6 @@ from strategies import graphs, sign_vectors
 def test_mode_thresholds():
     assert Mode.NONNEG.threshold == 0
     assert Mode.SIGNED.threshold == 1
-    assert Mode.parse("nonneg") is Mode.NONNEG
-    assert Mode.parse(Mode.SIGNED) is Mode.SIGNED
-    with pytest.raises(ValueError):
-        Mode.parse("positive")
 
 
 def test_sign_assignment_basics():
@@ -256,6 +252,17 @@ def test_greedy_feasible_everywhere(g, data):
     assert evaluate(g, f, mode).satisfied_count >= k
 
 
+@given(graphs(min_n=1, max_n=9), st.data())
+def test_greedy_is_maximal(g, data):
+    # one sweep leaves no +1 vertex whose flip would keep k satisfied
+    k = data.draw(st.integers(1, g.vertex_count))
+    mode = data.draw(st.sampled_from((Mode.NONNEG, Mode.SIGNED)))
+    f = greedy_upper(g, k, mode)
+    for v in f.positives():
+        flipped = SignAssignment(tuple(-1 if u == v else x for u, x in enumerate(f.values)))
+        assert evaluate(g, flipped, mode).satisfied_count < k
+
+
 # --- dispatcher and serialization ---
 
 
@@ -263,8 +270,9 @@ def test_solve_auto_dispatch():
     g = gen_cycle(6)
     assert solve(g, 6, Mode.NONNEG) == solve_bnb(g, 6, Mode.NONNEG)
     assert solve(g, 6, Mode.NONNEG, algorithm="brute").stats.nodes == 64
-    with pytest.raises(ValueError):
-        solve(gen_cycle(4), 4, Mode.NONNEG, algorithm="magic")
+    for algorithm in ("magic", "auto"):
+        with pytest.raises(ValueError):
+            solve(gen_cycle(4), 4, Mode.NONNEG, algorithm=algorithm)
 
 
 def test_result_record_fields():
