@@ -1,10 +1,13 @@
 """Closed-form lower bounds on signed-domination weights, as exact rationals.
 
-Every bound is computed with integer/rational arithmetic only; the two
-square-root bounds are resolved by integer square-root bracketing so that
-their ceilings are bit-exact. Parity lifting raises a rational bound to
-the least integer of the same parity as n, valid because every achievable
-weight of a {-1,+1} assignment on n vertices is congruent to n mod 2.
+Every bound is computed with integer/rational arithmetic only: each
+rational bound is one Fraction built from an integer numerator and
+denominator, and the two square-root bounds are resolved by integer
+square-root bracketing so that their ceilings are bit-exact. A report
+takes each ceiling once, by integer floor division of the numerator by
+the denominator. Parity lifting raises a rational bound to the least
+integer of the same parity as n, valid because every achievable weight of
+a {-1,+1} assignment on n vertices is congruent to n mod 2.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _ceil_sqrt(x: int) -> int:
 def bound_prior_halfn(profile: DegreeProfile) -> Fraction:
     """n/2 - m."""
     _require_order(profile)
-    return Fraction(profile.n, 2) - profile.m
+    return Fraction(profile.n - 2 * profile.m, 2)
 
 
 def bound_prior_deltaceil(profile: DegreeProfile) -> Fraction:
@@ -138,7 +141,8 @@ def bound_ksub_1(profile: DegreeProfile, k: int) -> Fraction:
     """2 * sum_{i<=k} ceil((d_i+1)/2) / (Delta + 1) - n, over the k smallest degrees."""
     _require_order(profile)
     _check_k(profile, k)
-    return Fraction(2 * profile.ceil_half_sum(k), profile.Delta + 1) - profile.n
+    size = profile.Delta + 1
+    return Fraction(2 * profile.ceil_half_sum(k) - profile.n * size, size)
 
 
 def bound_ksub_2(profile: DegreeProfile, k: int) -> Fraction:
@@ -161,7 +165,7 @@ def bound_regular(profile: DegreeProfile, k: int) -> Fraction:
     _check_k(profile, k)
     r = profile.delta
     if r % 2 == 0:
-        return Fraction(k * (r + 2), r + 1) - profile.n
+        return Fraction(k * (r + 2) - profile.n * (r + 1), r + 1)
     return Fraction(k - profile.n)
 
 
@@ -216,12 +220,14 @@ class BoundReport:
 
 
 def _value(name: str, raw: Fraction | int, n: int, applicable: bool) -> BoundValue:
-    frac = Fraction(raw)
+    if isinstance(raw, int):  # nn4 and nn5 are integers already
+        raw = Fraction(raw)
+    ceil = -(-raw.numerator // raw.denominator)
     return BoundValue(
         name=name,
-        raw=frac,
-        ceil=math.ceil(frac),
-        parity_lifted=parity_lift(frac, n),
+        raw=raw,
+        ceil=ceil,
+        parity_lifted=ceil + (ceil - n) % 2,
         applicable=applicable,
     )
 

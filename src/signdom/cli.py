@@ -2,7 +2,10 @@
 tables, and run verification campaigns.
 
 The group takes no options: each option sits on the one command that
-reads it, and accepts only values that change that command's output.
+reads it, and accepts only values that change that command's output. An
+option given for a family, engine or input format that does not read it
+(``gen cycle --p 0.3``, ``solve --brute-cap`` with bnb, ``--order`` on
+DIMACS input, ``verify --seed`` without the gnp family) is a usage error.
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage or parse error.
 """
@@ -17,6 +20,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
@@ -48,6 +52,8 @@ def _load_graph(path: str, input_format: str, order: int | None) -> Graph:
     if input_format == "auto":
         stripped = next((ln for ln in text.splitlines() if ln.strip()), "")
         input_format = "dimacs" if stripped.split()[:1] in (["p"], ["c"]) else "edgelist"
+    if input_format == "dimacs":
+        _reject_unread({"order"}, "for DIMACS input")
     try:
         if input_format == "dimacs":
             return parse_dimacs(text)
@@ -63,6 +69,20 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
+def _reject_unread(names: set[str], reason: str) -> None:
+    """Usage error naming each option in ``names`` that was given rather
+    than left at its default; ``reason`` says when the command ignores it."""
+    ctx = click.get_current_context()
+    given = [
+        max(param.opts, key=len)
+        for param in ctx.command.params
+        if param.name in names
+        and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+    ]
+    if given:
+        raise click.UsageError(f"{', '.join(given)} not read {reason}")
+
+
 def _records_to_csv(records: list[dict[str, object]]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
@@ -76,8 +96,20 @@ def main() -> None:
     """Exact signed and nonnegative signed k-subdomination numbers."""
 
 
+# The options of `gen` that each family reads.
+_GEN_READS = {
+    "complete": {"n"},
+    "cycle": {"n"},
+    "path": {"n"},
+    "sun": {"t"},
+    "hajos": set(),
+    "circulant": {"n", "offsets"},
+    "gnp": {"n", "p", "seed"},
+}
+
+
 @main.command()
-@click.argument("family", type=click.Choice(["complete", "cycle", "path", "sun", "hajos", "circulant", "gnp"]))
+@click.argument("family", type=click.Choice(list(_GEN_READS)))
 @click.option("--n", type=int, help="Order, for complete/cycle/path/circulant/gnp.")
 @click.option("--t", type=int, help="Half cycle length, for sun.")
 @click.option("--p", type=float, help="Edge probability, for gnp.")
@@ -88,6 +120,7 @@ def main() -> None:
 @click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
 def gen(family, n, t, p, seed, offsets, graph_format, output):
     """Generate a named graph family member."""
+    _reject_unread({"n", "t", "p", "seed", "offsets"} - _GEN_READS[family], f"for family {family}")
     try:
         if family == "complete":
             graph = gen_complete(_require(n, "--n"))
@@ -129,6 +162,8 @@ def _require(value, flag):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def solve_cmd(graph_file, k, mode, algorithm, brute_cap, input_format, order, fmt, output):
     """Solve one instance exactly; emits one record (JSON lines or text)."""
+    if algorithm != "brute":
+        _reject_unread({"brute_cap"}, f"by --algorithm {algorithm}")
     graph = _load_graph(graph_file, input_format, order)
     if k is None:
         k = graph.vertex_count
@@ -195,6 +230,8 @@ def bounds_cmd(graph_file, k, input_format, order, fmt, output):
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write the JSON report here.")
 def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, workers, fmt, output):
     """Run invariant checks over a reproducible ensemble; exit 1 on failure."""
+    if families and "gnp" not in families:
+        _reject_unread({"n_min", "p_values", "seeds", "seed"}, "without --family gnp")
     spec = verify_mod.EnsembleSpec(
         families=tuple(families) or verify_mod.ALL_FAMILIES,
         n_min=n_min,
@@ -247,6 +284,8 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
 @click.option("-o", "--output", type=click.Path(), default=None)
 def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
     """Sweep a family and tabulate exact values next to every bound."""
+    if family != "circulant":
+        _reject_unread({"offsets"}, f"for family {family}")
     if start > end:
         raise click.UsageError(f"--start ({start}) must not exceed --end ({end})")
     builders = {

@@ -26,10 +26,10 @@ subtraction borrows from a neighbouring field.
 from __future__ import annotations
 
 import enum
-import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from itertools import accumulate
+from operator import mul
 
 from .graph import Graph
 
@@ -115,16 +115,17 @@ def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
     if len(f.values) != n:
         raise ValueError(f"assignment covers {len(f.values)} vertices, graph has {n}")
     vals = f.values
-    sums = tuple(vals[v] + sum(vals[u] for u in graph.adjacency[v]) for v in range(n))
+    value = vals.__getitem__
+    sums = tuple([x + sum(map(value, nbrs)) for x, nbrs in zip(vals, graph.adjacency)])
     tau = mode.threshold
-    satisfied = frozenset(v for v in range(n) if sums[v] >= tau)
+    satisfied = [v for v, s in enumerate(sums) if s >= tau]
     return EvalResult(
         weight=sum(vals),
         closed_sums=sums,
-        satisfied=satisfied,
+        satisfied=frozenset(satisfied),
         satisfied_count=len(satisfied),
-        p1=frozenset(v for v in satisfied if vals[v] > 0),
-        m1=frozenset(v for v in satisfied if vals[v] < 0),
+        p1=frozenset([v for v in satisfied if vals[v] > 0]),
+        m1=frozenset([v for v in satisfied if vals[v] < 0]),
     )
 
 
@@ -169,17 +170,24 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     """
     n = graph.vertex_count
     _check_k(n, k)
+    adj = graph.adjacency
     tau = mode.threshold
     signs = [1] * n
-    sums = [graph.degree(v) + 1 for v in range(n)]
+    # slack[u] = f(N[u]) - tau; a flip inside N[u] unsatisfies u at slack 0 or 1
+    slack = [len(nbrs) + 1 - tau for nbrs in adj]
     satisfied = n
-    for v in sorted(range(n), key=lambda v: (graph.degree(v), v)):
-        closed = graph.closed_neighborhood(v)
-        lost = sum(1 for u in closed if tau <= sums[u] < tau + 2)
+    # slack still ranks by degree here, and the sort is stable: ascending
+    # degree, ties by id
+    for v in sorted(range(n), key=slack.__getitem__):
+        closed = (v, *adj[v])
+        lost = 0
+        for u in closed:
+            if 0 <= slack[u] < 2:
+                lost += 1
         if satisfied - lost >= k:
             signs[v] = -1
             for u in closed:
-                sums[u] -= 2
+                slack[u] -= 2
             satisfied -= lost
     return SignAssignment(tuple(signs))
 
@@ -305,49 +313,37 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
     n = graph.vertex_count
     _check_k(n, k)
     tau = mode.threshold
-    size = [graph.degree(v) + 1 for v in range(n)]  # d_v + 1
+    adj = graph.adjacency
+    size = [len(nbrs) + 1 for nbrs in adj]  # d_v + 1
     big = 1 << n.bit_length()
     width = n.bit_length() + 2
-    one = sum(1 << (v * width) for v in range(n))  # 1 in every field
+    field = [1 << (v * width) for v in range(n)]  # 1 in vertex v's field
+    one = sum(field)  # 1 in every field
     top = one * big  # bit big of every field
-    nb = [sum(1 << (u * width) for u in graph.closed_neighborhood(v)) for v in range(n)]
-
-    def pack(counters: list[int]) -> int:
-        return sum((big + x) << (v * width) for v, x in enumerate(counters))
-
+    nb = [f + sum(map(field.__getitem__, nbrs)) for f, nbrs in zip(field, adj)]  # packed N[v]
     lacks = [(s + tau + 1) // 2 for s in size]
-    room0 = pack([(s - tau) // 2 for s in size])  # negatives N[v] may still take
-    short0 = pack(lacks)  # positives N[v] still lacks
+    # room0: negatives N[v] may still take; short0: positives N[v] still lacks
+    room0 = top + sum([f * ((s - tau) // 2) for f, s in zip(field, size)])
+    short0 = top + sum(map(mul, field, lacks))
     # adds[x] lifts a short field to 2*big or more exactly when its demand > x.
     adds = [one * (big - 1 - x) for x in range(max(lacks))]
-    # Prefix sums of d_u + 1 over the unassigned u >= depth, largest first.
-    prefix = [
-        list(accumulate(sorted(size[depth:], reverse=True), initial=0))
-        for depth in range(n + 1)
-    ]
+    # prefix[depth]: prefix sums of d_u + 1 over the unassigned u >= depth,
+    # largest first, built from the last vertex back.
+    prefix = [[0]] * (n + 1)
+    rest: list[int] = []  # size[depth:], ascending
+    for depth in range(n - 1, -1, -1):
+        insort(rest, size[depth])
+        prefix[depth] = list(accumulate(reversed(rest), initial=0))
 
-    def residual(depth: int, weight: int, live: int, alive: int, short: int) -> float:
-        spare = alive - k  # satisfiable vertices the k smallest demands leave out
-        live <<= 1
-        demand = 0
-        for add in adds:
-            over = ((short + add) & live).bit_count()
-            if over <= spare:
-                break
-            demand += over - spare
-        rest = prefix[depth]
-        p = bisect_left(rest, demand)
-        return math.inf if p == len(rest) else weight - (n - depth) + 2 * p
-
-    root_lb = residual(0, 0, top, n, short0)
     cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
+    root_lb: int | None = None  # the residual bound at the root, set on its visit
     signs = [0] * n
     witness: tuple[int, ...] | None = None
     stop = False
     nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
 
     def dfs(v: int, weight: int, room: int, short: int) -> None:
-        nonlocal cutoff, witness, stop
+        nonlocal cutoff, root_lb, witness, stop
         nonlocal nodes, prunes_w, prunes_s, prunes_r, prunes_lb
         nodes += 1
         live = room & top
@@ -366,7 +362,23 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
         if weight - (n - v) >= cutoff:
             prunes_w += 1
             return
-        if residual(v, weight, live, alive, short) >= cutoff:
+        spare = alive - k  # satisfiable vertices the k smallest demands leave out
+        live <<= 1
+        demand = 0
+        for add in adds:
+            over = ((short + add) & live).bit_count()
+            if over <= spare:
+                break
+            demand += over - spare
+        cover = prefix[v]
+        p = bisect_left(cover, demand)
+        if p == len(cover):  # the unassigned vertices cannot meet the demand
+            prunes_r += 1
+            return
+        bound = weight - (n - v) + 2 * p
+        if not v:
+            root_lb = bound
+        if bound >= cutoff:
             prunes_r += 1
             return
         signs[v] = 1

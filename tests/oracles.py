@@ -65,3 +65,43 @@ def oracle_nn4(n: int, delta: int, n_e: int) -> int:
 
 def oracle_nn5(n: int, m: int, n_e: int) -> int:
     return ceil_sqrt_affine(Fraction(-n), Fraction(1), 2 * m + n + n_e)
+
+
+def prior_halfn(graph: Graph) -> Fraction:
+    """n/2 - m, in Fraction arithmetic."""
+    return Fraction(graph.vertex_count, 2) - graph.edge_count
+
+
+def ksub1(graph: Graph, k: int) -> Fraction:
+    """2 * sum_{i<=k} ceil((d_i+1)/2) / (Delta + 1) - n, in Fraction arithmetic."""
+    degrees = sorted(graph.degree(v) for v in graph.vertices())
+    ceil_half = sum(math.ceil(Fraction(d + 1, 2)) for d in degrees[:k])
+    return Fraction(2 * ceil_half, degrees[-1] + 1) - graph.vertex_count
+
+
+def regular(graph: Graph, k: int) -> Fraction:
+    """k(r+2)/(r+1) - n for even r, k - n for odd r, on an r-regular graph."""
+    r = graph.degree(0)
+    if r % 2 == 0:
+        return Fraction(k * (r + 2), r + 1) - graph.vertex_count
+    return Fraction(k - graph.vertex_count)
+
+
+def greedy_sweep(graph: Graph, k: int, mode: Mode) -> tuple[int, ...]:
+    """The greedy sweep as first written: from all-(+1), in (degree, id)
+    order, flip a vertex to -1 when at least k vertices stay satisfied,
+    keeping every closed sum in a list."""
+    n = graph.vertex_count
+    tau = mode.threshold
+    signs = [1] * n
+    sums = [graph.degree(v) + 1 for v in range(n)]
+    satisfied = n
+    for v in sorted(range(n), key=lambda v: (graph.degree(v), v)):
+        closed = graph.closed_neighborhood(v)
+        lost = sum(1 for u in closed if tau <= sums[u] < tau + 2)
+        if satisfied - lost >= k:
+            signs[v] = -1
+            for u in closed:
+                sums[u] -= 2
+            satisfied -= lost
+    return tuple(signs)

@@ -28,6 +28,7 @@ from signdom import (
     parity_lift,
 )
 
+import oracles
 from oracles import oracle_nn4, oracle_nn5
 from strategies import graphs
 
@@ -258,3 +259,21 @@ def test_regular_bound_equals_ksub1_on_regular_graphs(g):
         return
     for k in range(1, p.n + 1):
         assert bound_regular(p, k) == bound_ksub_1(p, k)
+
+
+@given(graphs(min_n=1, max_n=9))
+def test_report_ceilings_and_closed_forms(g):
+    n = g.vertex_count
+    regular = degree_profile(g).is_regular
+    for k in range(1, n + 1):
+        rep = bound_report(g, k)
+        for name in BOUND_NAMES:
+            b = rep[name]
+            if b.raw is None:
+                continue
+            assert b.ceil == math.ceil(b.raw)
+            assert b.parity_lifted == parity_lift(b.raw, n)
+        assert rep["prior_halfn"].raw == oracles.prior_halfn(g)
+        assert rep["ksub1"].raw == oracles.ksub1(g, k)
+        if regular:
+            assert rep["regular"].raw == oracles.regular(g, k)

@@ -181,7 +181,7 @@ def test_verify_small_ensemble_passes(runner, tmp_path):
     result = runner.invoke(
         main,
         ["verify", "--family", "cycle", "--family", "complete", "--n-max", "6",
-         "--seeds", "2", "-o", str(report_path)],
+         "-o", str(report_path)],
     )
     assert result.exit_code == 0
     assert "RESULT: PASS" in result.output
@@ -285,6 +285,12 @@ def _with_graph(args, tmp_path):
         ["verify", "--family", "hajos", "--format", "csv"],
         ["refs", "--format", "jsonl"],
         ["solve", GRAPH, "--algorithm", "auto"],
+        ["solve", GRAPH, "--brute-cap", "5"],
+        ["gen", "cycle", "--n", "4", "--seed", "9", "--p", "0.3"],
+        ["table", "cycle", "--start", "3", "--end", "4", "--offsets", "1,3"],
+        ["verify", "--family", "cycle", "--seed", "7", "--n-min", "5"],
+        ["gen", "sun", "--n", "3"],
+        ["gen", "cycle", "--offsets", "1,2"],
     ],
 )
 def test_option_values_no_command_reads_are_usage_errors(runner, tmp_path, args):
@@ -292,6 +298,47 @@ def test_option_values_no_command_reads_are_usage_errors(runner, tmp_path, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["solve", GRAPH, "--brute-cap", "5"], "--brute-cap"),
+        (["gen", "cycle", "--n", "4", "--seed", "9", "--p", "0.3"], "--p, --seed"),
+        (["table", "cycle", "--start", "3", "--end", "4", "--offsets", "1,3"], "--offsets"),
+        (["verify", "--family", "cycle", "--seed", "7", "--n-min", "5"], "--n-min, --seed"),
+        (["gen", "sun", "--n", "3"], "--n"),
+    ],
+)
+def test_unread_flag_error_names_the_flags(runner, tmp_path, args, flags):
+    result = runner.invoke(main, _with_graph(args, tmp_path))
+    assert result.exit_code == 2
+    assert f"{flags} not read" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", GRAPH, "--algorithm", "brute", "--brute-cap", "5"],
+        ["gen", "gnp", "--n", "4", "--seed", "9", "--p", "0.3"],
+        ["gen", "sun", "--t", "2"],
+        ["table", "circulant", "--start", "5", "--end", "6", "--offsets", "1,2"],
+        ["verify", "--family", "gnp", "--seed", "7", "--n-min", "5", "--n-max", "5",
+         "--seeds", "2"],
+    ],
+)
+def test_flags_the_command_reads_are_accepted(runner, tmp_path, args):
+    assert runner.invoke(main, _with_graph(args, tmp_path)).exit_code == 0
+
+
+def test_order_on_dimacs_input_is_usage_error(runner, tmp_path):
+    path = tmp_path / "k2.col"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    for command in ("solve", "bounds"):
+        result = runner.invoke(main, [command, str(path), "--order", "3"])
+        assert result.exit_code == 2
+        assert "--order not read for DIMACS input" in result.output
+        assert runner.invoke(main, [command, str(path)]).exit_code == 0
 
 
 @pytest.mark.parametrize(

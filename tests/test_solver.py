@@ -22,7 +22,7 @@ from signdom import (
     solve_bruteforce,
 )
 
-from oracles import naive_minimum
+from oracles import greedy_sweep, naive_closed_sums, naive_minimum
 from strategies import graphs, sign_vectors
 
 
@@ -378,3 +378,28 @@ def test_eval_structure(g, data):
     )
     assert ev.p1 | ev.m1 == ev.satisfied
     assert not ev.p1 & ev.m1
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=9), st.data())
+def test_evaluate_matches_naive_closed_sums(g, data):
+    values = data.draw(sign_vectors(g.vertex_count))
+    sums = naive_closed_sums(g, values)
+    for mode in Mode:
+        ev = evaluate(g, SignAssignment(values), mode)
+        satisfied = {v for v, s in enumerate(sums) if s >= mode.threshold}
+        assert list(ev.closed_sums) == sums
+        assert ev.satisfied == satisfied
+        assert ev.satisfied_count == len(satisfied)
+        assert ev.p1 == {v for v in satisfied if values[v] == 1}
+        assert ev.m1 == {v for v in satisfied if values[v] == -1}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_greedy_matches_the_first_sweep(n):
+    for p in (0.2, 0.5, 0.8):
+        for seed in range(3):
+            g = gen_gnp(n, p, seed)
+            for k in range(1, n + 1):
+                for mode in Mode:
+                    assert greedy_upper(g, k, mode).values == greedy_sweep(g, k, mode)

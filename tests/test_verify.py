@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,16 +9,22 @@ import pytest
 
 import signdom
 import signdom.bounds as bounds_mod
+import signdom.verify as verify_mod
 from signdom import (
     CHECK_NAMES,
     EnsembleSpec,
+    Mode,
+    SignAssignment,
     bound_report,
     build_ensemble,
     is_connected,
     parse_dimacs,
     run_campaign,
+    solve_bruteforce,
 )
 from signdom.verify import _k_values
+
+from oracles import naive_closed_sums
 
 
 SMALL = EnsembleSpec(
@@ -144,6 +152,47 @@ def test_injected_mutant_is_caught_and_replayable(monkeypatch):
     replayed = bound_report(graph, ce.k)
     assert "nn3" in ce.detail
     assert f">= {replayed['nn3'].raw}" == ce.expected
+
+
+def _last_optimal_witness(graph, k, mode, optimum):
+    """The lexicographically largest feasible sign vector of weight optimum."""
+    for values in itertools.product((-1, 1), repeat=graph.vertex_count):
+        satisfied = sum(1 for s in naive_closed_sums(graph, values) if s >= mode.threshold)
+        if sum(values) == optimum and satisfied >= k:
+            return SignAssignment(values)
+    raise AssertionError("no optimal witness")
+
+
+def test_degree_inequalities_evaluate_the_oracle_witness(monkeypatch):
+    real_solve = verify_mod.solve_bnb
+    real_evaluate = verify_mod.evaluate
+    evaluated = []
+
+    def other_witness(graph, k, mode):  # the optimum with another optimal witness
+        result = real_solve(graph, k, mode)
+        witness = _last_optimal_witness(graph, k, mode, result.optimum)
+        return dataclasses.replace(result, witness=witness)
+
+    def spy(graph, f, mode):
+        evaluated.append((graph, f, mode))
+        return real_evaluate(graph, f, mode)
+
+    monkeypatch.setattr(verify_mod, "solve_bnb", other_witness)
+    monkeypatch.setattr(verify_mod, "evaluate", spy)
+    spec = EnsembleSpec(families=("cycle",), n_max=6)
+    checks = ("oracle-equivalence", "witness-validity", "degree-inequalities")
+    report = run_campaign(spec, checks=checks)
+
+    assert report.check("oracle-equivalence").failed > 0
+    assert report.check("witness-validity").failed == 0
+    differ = 0
+    for _, graph in build_ensemble(spec):
+        for k in _k_values(graph.vertex_count, "default"):
+            oracle = solve_bruteforce(graph, k, Mode.NONNEG).witness
+            if other_witness(graph, k, Mode.NONNEG).witness != oracle:
+                differ += 1
+                assert (graph, oracle, Mode.NONNEG) in evaluated
+    assert differ > 0
 
 
 def test_counterexample_payload_fields():
