@@ -3,9 +3,10 @@ tables, and run verification campaigns.
 
 The group takes no options: each option sits on the one command that
 reads it, and accepts only values that change that command's output. An
-option given for a family, engine or input format that does not read it
+option given for a family or engine that does not read it
 (``gen cycle --p 0.3``, ``solve --brute-cap`` with bnb, ``--order`` on
 DIMACS input, ``verify --seed`` without the gnp family) is a usage error.
+``graph.FAMILIES`` says which parameters each family reads.
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage or parse error.
 """
@@ -25,16 +26,10 @@ from click.core import ParameterSource
 from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .graph import (
+    FAMILIES,
     Graph,
     GraphError,
     degree_profile,
-    gen_circulant,
-    gen_complete,
-    gen_cycle,
-    gen_gnp,
-    gen_hajos,
-    gen_path,
-    gen_sun,
     parse_dimacs,
     parse_edge_list,
     to_dimacs,
@@ -44,20 +39,19 @@ from .reference import reference_table
 from .solver import BRUTE_FORCE_CAP, Mode, result_record, solve
 
 
-def _load_graph(path: str, input_format: str, order: int | None) -> Graph:
+def _load_graph(path: str, order: int | None) -> Graph:
+    """Read a DIMACS file (first non-blank line starts with ``p`` or ``c``)
+    or else an edge list; no edge-list line can start that way."""
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise click.UsageError(f"cannot read {path}: {e}")
-    if input_format == "auto":
-        stripped = next((ln for ln in text.splitlines() if ln.strip()), "")
-        input_format = "dimacs" if stripped.split()[:1] in (["p"], ["c"]) else "edgelist"
-    if input_format == "dimacs":
+    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    dimacs = first.split()[:1] in (["p"], ["c"])
+    if dimacs:
         _reject_unread({"order"}, "for DIMACS input")
     try:
-        if input_format == "dimacs":
-            return parse_dimacs(text)
-        return parse_edge_list(text, order=order)
+        return parse_dimacs(text) if dimacs else parse_edge_list(text, order=order)
     except GraphError as e:
         raise click.UsageError(f"{path}: {e}")
 
@@ -96,57 +90,42 @@ def main() -> None:
     """Exact signed and nonnegative signed k-subdomination numbers."""
 
 
-# The options of `gen` that each family reads.
-_GEN_READS = {
-    "complete": {"n"},
-    "cycle": {"n"},
-    "path": {"n"},
-    "sun": {"t"},
-    "hajos": set(),
-    "circulant": {"n", "offsets"},
-    "gnp": {"n", "p", "seed"},
-}
+def _offsets(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError as e:
+        raise click.UsageError(str(e))
+
+
+def _readers(name: str) -> str:
+    """The families whose generator takes parameter ``name``."""
+    return "/".join(family for family, (_, reads) in FAMILIES.items() if name in reads)
 
 
 @main.command()
-@click.argument("family", type=click.Choice(list(_GEN_READS)))
-@click.option("--n", type=int, help="Order, for complete/cycle/path/circulant/gnp.")
-@click.option("--t", type=int, help="Half cycle length, for sun.")
-@click.option("--p", type=float, help="Edge probability, for gnp.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed, for gnp.")
+@click.argument("family", type=click.Choice(list(FAMILIES)))
+@click.option("--n", type=int, help=f"Order, for {_readers('n')}.")
+@click.option("--t", type=int, help=f"Half cycle length, for {_readers('t')}.")
+@click.option("--p", type=float, help=f"Edge probability, for {_readers('p')}.")
+@click.option("--seed", type=int, default=0, show_default=True, help=f"Seed, for {_readers('seed')}.")
 @click.option("--offsets", default="1", show_default=True, help="Comma-separated circulant offsets.")
 @click.option("--graph-format", type=click.Choice(["edgelist", "dimacs"]), default="edgelist",
               show_default=True, help="On-disk format.")
 @click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
-def gen(family, n, t, p, seed, offsets, graph_format, output):
+def gen(family, graph_format, output, **given):
     """Generate a named graph family member."""
-    _reject_unread({"n", "t", "p", "seed", "offsets"} - _GEN_READS[family], f"for family {family}")
+    build, reads = FAMILIES[family]
+    _reject_unread(set(given) - set(reads), f"for family {family}")
+    given["offsets"] = _offsets(given["offsets"])
+    for name in reads:
+        if given[name] is None:
+            raise click.UsageError(f"--{name} is required for this family")
     try:
-        if family == "complete":
-            graph = gen_complete(_require(n, "--n"))
-        elif family == "cycle":
-            graph = gen_cycle(_require(n, "--n"))
-        elif family == "path":
-            graph = gen_path(_require(n, "--n"))
-        elif family == "sun":
-            graph = gen_sun(_require(t, "--t"))
-        elif family == "hajos":
-            graph = gen_hajos()
-        elif family == "circulant":
-            offs = [int(s) for s in offsets.split(",") if s.strip()]
-            graph = gen_circulant(_require(n, "--n"), offs)
-        else:
-            graph = gen_gnp(_require(n, "--n"), _require(p, "--p"), seed)
+        graph = build(*(given[name] for name in reads))
     except ValueError as e:
         raise click.UsageError(str(e))
     text = to_dimacs(graph) if graph_format == "dimacs" else to_edge_list(graph)
     _emit(text, output)
-
-
-def _require(value, flag):
-    if value is None:
-        raise click.UsageError(f"{flag} is required for this family")
-    return value
 
 
 @main.command(name="solve")
@@ -156,15 +135,14 @@ def _require(value, flag):
 @click.option("--algorithm", type=click.Choice(["bnb", "brute"]), default="bnb", show_default=True)
 @click.option("--brute-cap", type=int, default=BRUTE_FORCE_CAP, show_default=True,
               help="Vertex limit for --algorithm brute.")
-@click.option("--input-format", type=click.Choice(["auto", "edgelist", "dimacs"]), default="auto", show_default=True)
 @click.option("--order", type=int, default=None, help="Vertex-count override for edge-list input.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "text"]), default="jsonl", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def solve_cmd(graph_file, k, mode, algorithm, brute_cap, input_format, order, fmt, output):
+def solve_cmd(graph_file, k, mode, algorithm, brute_cap, order, fmt, output):
     """Solve one instance exactly; emits one record (JSON lines or text)."""
     if algorithm != "brute":
         _reject_unread({"brute_cap"}, f"by --algorithm {algorithm}")
-    graph = _load_graph(graph_file, input_format, order)
+    graph = _load_graph(graph_file, order)
     if k is None:
         k = graph.vertex_count
     mode = Mode(mode)
@@ -183,13 +161,12 @@ def solve_cmd(graph_file, k, mode, algorithm, brute_cap, input_format, order, fm
 @main.command(name="bounds")
 @click.argument("graph_file", type=click.Path(exists=True))
 @click.option("--k", type=int, default=None, help="Subdomination parameter (default: n).")
-@click.option("--input-format", type=click.Choice(["auto", "edgelist", "dimacs"]), default="auto", show_default=True)
 @click.option("--order", type=int, default=None, help="Vertex-count override for edge-list input.")
 @click.option("--format", "fmt", type=click.Choice(["text", "jsonl", "csv"]), default="text", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def bounds_cmd(graph_file, k, input_format, order, fmt, output):
+def bounds_cmd(graph_file, k, order, fmt, output):
     """Print every named lower bound for one graph."""
-    graph = _load_graph(graph_file, input_format, order)
+    graph = _load_graph(graph_file, order)
     if k is None:
         k = graph.vertex_count
     try:
@@ -284,22 +261,16 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
 @click.option("-o", "--output", type=click.Path(), default=None)
 def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
     """Sweep a family and tabulate exact values next to every bound."""
-    if family != "circulant":
-        _reject_unread({"offsets"}, f"for family {family}")
+    build, (_, *fixed) = FAMILIES[family]  # the first parameter is the swept one
+    _reject_unread({"offsets"} - set(fixed), f"for family {family}")
     if start > end:
         raise click.UsageError(f"--start ({start}) must not exceed --end ({end})")
-    builders = {
-        "complete": gen_complete,
-        "cycle": gen_cycle,
-        "path": gen_path,
-        "sun": gen_sun,
-        "circulant": lambda n: gen_circulant(n, [int(s) for s in offsets.split(",") if s.strip()]),
-    }
+    given = {"offsets": _offsets(offsets)}
     modes = [Mode.NONNEG, Mode.SIGNED] if mode_name == "both" else [Mode(mode_name)]
     records: list[dict[str, object]] = []
     for param in range(start, end + 1):
         try:
-            graph = builders[family](param)
+            graph = build(param, *(given[name] for name in fixed))
         except ValueError as e:
             raise click.UsageError(str(e))
         if graph.vertex_count < 1:
@@ -308,10 +279,7 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
         n = graph.vertex_count
         k = {"full": n, "half": math.ceil(n / 2), "one": 1}[k_policy]
         report = bounds_mod.bound_report(graph, k)  # the bounds do not depend on mode
-        raws = {
-            f"bound.{name}.raw": "" if report[name].raw is None else str(report[name].raw)
-            for name in bounds_mod.BOUND_NAMES
-        }
+        raws = {key: value for key, value in report.to_record().items() if key.endswith(".raw")}
         for mode in modes:
             records.append({
                 "family": family,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 __all__ = [
     "GraphError",
@@ -30,6 +30,7 @@ __all__ = [
     "gen_hajos",
     "gen_circulant",
     "gen_gnp",
+    "FAMILIES",
 ]
 
 
@@ -392,3 +393,16 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
             if z < threshold:
                 edges.append((i, j))
     return Graph.from_edges(n, edges)
+
+
+# Every named family: its generator and the parameters the generator takes,
+# in call order. The CLI, the reference table and the campaign read this.
+FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "complete": (gen_complete, ("n",)),
+    "cycle": (gen_cycle, ("n",)),
+    "path": (gen_path, ("n",)),
+    "sun": (gen_sun, ("t",)),
+    "hajos": (gen_hajos, ()),
+    "circulant": (gen_circulant, ("n", "offsets")),
+    "gnp": (gen_gnp, ("n", "p", "seed")),
+}

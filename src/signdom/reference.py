@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, gen_complete, gen_cycle, gen_hajos, gen_path, gen_sun
+from .graph import FAMILIES, Graph
 from .solver import Mode
 
 __all__ = [
@@ -88,18 +88,9 @@ class ReferenceValue:
     provenance: str
 
     def build_graph(self) -> Graph:
-        p = dict(self.params)
-        if self.family == "complete":
-            return gen_complete(p["n"])
-        if self.family == "cycle":
-            return gen_cycle(p["n"])
-        if self.family == "path":
-            return gen_path(p["n"])
-        if self.family == "sun":
-            return gen_sun(p["t"])
-        if self.family == "hajos":
-            return gen_hajos()
-        raise ValueError(f"unknown reference family {self.family!r}")
+        build, reads = FAMILIES[self.family]
+        params = dict(self.params)
+        return build(*(params[name] for name in reads))
 
 
 _CYCLE_NOTE = "closed form by residue of n mod 3 (classical result for signed domination of cycles)"

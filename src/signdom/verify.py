@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import bounds as bounds_mod
 from .graph import (
+    FAMILIES,
     DegreeProfile,
     Graph,
     degree_profile,
@@ -43,6 +44,7 @@ from .solver import (
 __all__ = [
     "ALL_FAMILIES",
     "CHECK_NAMES",
+    "MAX_COUNTEREXAMPLES",
     "EnsembleSpec",
     "Counterexample",
     "CheckResult",
@@ -51,7 +53,7 @@ __all__ = [
     "run_campaign",
 ]
 
-ALL_FAMILIES = ("complete", "cycle", "path", "sun", "hajos", "circulant", "gnp")
+ALL_FAMILIES = tuple(FAMILIES)
 
 CHECK_NAMES = (
     "degree-identity",
@@ -71,6 +73,10 @@ _SOLVE_CHECKS = frozenset(CHECK_NAMES) - {"degree-identity", "ksub-reduction"}
 # Graphs with at most this many vertices are also solved by exhaustive
 # enumeration, the oracle of the oracle-equivalence check.
 BRUTE_THRESHOLD = 14
+
+# A report lists at most this many counterexamples per check; the failed
+# count covers them all.
+MAX_COUNTEREXAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -152,16 +158,7 @@ class Counterexample:
     detail: str
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "check": self.check,
-            "graph_label": self.graph_label,
-            "graph_dimacs": self.graph_dimacs,
-            "k": self.k,
-            "mode": self.mode,
-            "observed": self.observed,
-            "expected": self.expected,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -171,15 +168,9 @@ class CheckResult:
     failed: int = 0
     counterexamples: list[Counterexample] = field(default_factory=list)
 
-    def to_dict(self, max_counterexamples: int) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "failed": self.failed,
-            "counterexamples": [
-                ce.to_dict() for ce in self.counterexamples[:max_counterexamples]
-            ],
-        }
+    def to_dict(self) -> dict[str, object]:
+        shown = self.counterexamples[:MAX_COUNTEREXAMPLES]
+        return dict(vars(self), counterexamples=[ce.to_dict() for ce in shown])
 
 
 @dataclass
@@ -192,12 +183,12 @@ class CampaignReport:
     all_passed: bool
     generated_at: str
 
-    def to_dict(self, max_counterexamples: int = 20) -> dict[str, object]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "ensemble": self.ensemble,
             "k_policy": self.k_policy,
             "graph_count": self.graph_count,
-            "checks": [c.to_dict(max_counterexamples) for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
             "all_passed": self.all_passed,
             "generated_at": self.generated_at,
         }

@@ -1,12 +1,25 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import signdom.bounds as bounds_mod
-from signdom import exact_cycle_signed, gen_gnp, gen_sun, parse_dimacs, parse_edge_list
+import signdom.verify as verify_mod
+from signdom import (
+    exact_cycle_signed,
+    gen_gnp,
+    gen_sun,
+    parse_dimacs,
+    parse_edge_list,
+    to_dimacs,
+    to_edge_list,
+)
 from signdom.cli import main
+from signdom.graph import FAMILIES
 
 
 @pytest.fixture
@@ -370,3 +383,89 @@ def test_refs_csv(runner):
     assert lines[0].startswith("family,params,n,k,mode,value,provenance")
     assert any(line.startswith("hajos") for line in lines)
     assert any(line.startswith("cycle,n=6,6,n,signed,2") for line in lines)
+
+
+# For each option of `gen`: its command-line text and the generator argument.
+GEN_VALUES = {"n": ("8", 8), "t": ("2", 2), "p": ("0.5", 0.5), "seed": ("3", 3),
+              "offsets": ("1,3", [1, 3])}
+
+
+def test_gen_options_are_the_family_parameters():
+    options = {p.name for p in main.commands["gen"].params} - {"family", "graph_format", "output"}
+    assert options == GEN_VALUES.keys()
+    assert {name for _, reads in FAMILIES.values() for name in reads} == options
+    assert verify_mod.ALL_FAMILIES == tuple(FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_gen_reads_exactly_the_family_parameters(runner, family):
+    build, reads = FAMILIES[family]
+    flags = [arg for name in reads for arg in (f"--{name}", GEN_VALUES[name][0])]
+    result = invoke(runner, "gen", family, *flags, "--graph-format", "dimacs")
+    assert result.output == to_dimacs(build(*(GEN_VALUES[name][1] for name in reads)))
+    for name in GEN_VALUES.keys() - set(reads):
+        result = runner.invoke(main, ["gen", family, *flags, f"--{name}", GEN_VALUES[name][0]])
+        assert result.exit_code == 2
+        assert f"--{name} not read for family {family}" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "circulant", "--offsets", "x"],
+        ["gen", "circulant", "--n", "8", "--offsets", "x"],
+        ["table", "circulant", "--start", "5", "--end", "6", "--offsets", "x"],
+    ],
+)
+def test_malformed_offsets_are_usage_errors(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid literal for int()" in result.output
+
+
+def test_input_format_is_read_from_the_file(runner, tmp_path):
+    graph = gen_sun(2)
+    dimacs = tmp_path / "sun2.col"
+    dimacs.write_text("c the sun gadget, t = 2\n" + to_dimacs(graph))
+    edge_list = tmp_path / "sun2.gr"
+    edge_list.write_text("# the sun gadget, t = 2\n" + to_edge_list(graph))
+    for args in (["solve"], ["bounds", "--format", "jsonl"]):
+        outputs = [invoke(runner, args[0], str(path), *args[1:]).output for path in (dimacs, edge_list)]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["n"] == 8
+        result = runner.invoke(main, [args[0], str(dimacs), "--input-format", "dimacs"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+
+def test_non_utf8_graph_file_is_usage_error(runner, tmp_path):
+    path = tmp_path / "bin.gr"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    for command in ("solve", "bounds"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot read {path}" in result.output
+
+
+def _readme_cli_rows() -> dict[str, set[str]]:
+    """Each command's row of the README's CLI table, as the set of flags it names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        match = re.match(r"\| `(\w+)[^`]*` \| (.*) \|$", line)
+        if match:
+            rows[match[1]] = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", match[2]))
+    return rows
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_readme_cli_table_matches_the_options(command):
+    row = _readme_cli_rows()[command]
+    options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
+    for option in options:
+        assert row & set(option.opts), f"{command}: {option.opts[0]} missing from the README"
+    spellings = {spelling for option in options for spelling in option.opts}
+    assert row <= spellings, f"{command}: README names {sorted(row - spellings)}"

@@ -12,6 +12,7 @@ import signdom.bounds as bounds_mod
 import signdom.verify as verify_mod
 from signdom import (
     CHECK_NAMES,
+    Counterexample,
     EnsembleSpec,
     Mode,
     SignAssignment,
@@ -22,7 +23,7 @@ from signdom import (
     run_campaign,
     solve_bruteforce,
 )
-from signdom.verify import _k_values
+from signdom.verify import MAX_COUNTEREXAMPLES, _k_values
 
 from oracles import naive_closed_sums
 
@@ -195,10 +196,27 @@ def test_degree_inequalities_evaluate_the_oracle_witness(monkeypatch):
     assert differ > 0
 
 
-def test_counterexample_payload_fields():
+def test_counterexample_payload_fields(monkeypatch):
     monkey_spec = EnsembleSpec(families=("cycle",), n_max=6)
     report = run_campaign(monkey_spec)
     d = report.to_dict()
     assert d["ensemble"]["families"] == ["cycle"]
     assert d["k_policy"] == "default"
     assert isinstance(d["generated_at"], str)
+
+    original = bounds_mod.bound_nn_3
+    monkeypatch.setattr(
+        bounds_mod, "bound_nn_3", lambda p: original(p) + Fraction(1, p.delta + 1)
+    )
+    spec = EnsembleSpec(families=("cycle", "path", "complete"), n_max=9)
+    report = run_campaign(spec, checks=("bound-dominance",))
+    assert report.check("bound-dominance").failed > MAX_COUNTEREXAMPLES
+    (payload,) = report.to_dict()["checks"]
+    assert payload["failed"] == report.check("bound-dominance").failed
+    assert len(payload["counterexamples"]) == MAX_COUNTEREXAMPLES
+    graphs = dict(build_ensemble(spec))
+    fields = [f.name for f in dataclasses.fields(Counterexample)]
+    for ce in payload["counterexamples"]:
+        assert list(ce) == fields
+        graph = parse_dimacs(ce["graph_dimacs"])
+        assert graph == graphs[ce["graph_label"]]  # the same vertex count and edges
