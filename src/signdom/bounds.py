@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .graph import DegreeProfile, Graph, degree_profile, is_connected
 
@@ -35,6 +35,7 @@ __all__ = [
     "BoundValue",
     "BoundReport",
     "bound_report",
+    "bound_reports",
     "BOUND_NAMES",
 ]
 
@@ -233,35 +234,53 @@ def _value(name: str, raw: Fraction | int, n: int, applicable: bool) -> BoundVal
 
 
 def bound_report(graph: Graph, k: int) -> BoundReport:
-    """Evaluate every named bound on ``graph`` for parameter ``k``.
+    """Evaluate every named bound on ``graph`` for parameter ``k``: the
+    one-k case of :func:`bound_reports`."""
+    return bound_reports(graph, (k,))[k]
+
+
+def bound_reports(graph: Graph, ks: Iterable[int]) -> dict[int, BoundReport]:
+    """Evaluate every named bound on ``graph`` for each parameter k in
+    ``ks``, keyed by k in ascending order.
 
     Full-domination bounds (the prior_* and nn* families) constrain only
     the k = n problem, so they are flagged inapplicable for k < n; the nn*
     family additionally requires a connected graph. The ksub bounds hold
     for any graph and any valid k. The regular-graph bound is reported
-    with empty values on non-regular graphs.
+    with empty values on non-regular graphs. The degree profile, the
+    connectivity test and the full-domination bounds, which do not depend
+    on k, are computed once for all of ``ks``.
     """
     profile = degree_profile(graph)
     _require_order(profile)
-    _check_k(profile, k)
+    ks = sorted(set(ks))
+    for k in ks:
+        _check_k(profile, k)
     n = profile.n
     connected = is_connected(graph)
-    full = k == n
-
-    bounds = {
-        "prior_halfn": _value("prior_halfn", bound_prior_halfn(profile), n, full),
-        "prior_deltaceil": _value("prior_deltaceil", bound_prior_deltaceil(profile), n, full),
-        "prior_hua": _value("prior_hua", bound_prior_hua(profile), n, full),
-        "nn1": _value("nn1", bound_nn_1(profile), n, full and connected),
-        "nn2": _value("nn2", bound_nn_2(profile), n, full and connected),
-        "nn3": _value("nn3", bound_nn_3(profile), n, full and connected),
-        "nn4": _value("nn4", bound_nn_4(profile), n, full and connected),
-        "nn5": _value("nn5", bound_nn_5(profile), n, full and connected),
-        "ksub1": _value("ksub1", bound_ksub_1(profile, k), n, True),
-        "ksub2": _value("ksub2", bound_ksub_2(profile, k), n, True),
+    full = {  # name -> its value at k = n, where it may apply
+        "prior_halfn": _value("prior_halfn", bound_prior_halfn(profile), n, True),
+        "prior_deltaceil": _value("prior_deltaceil", bound_prior_deltaceil(profile), n, True),
+        "prior_hua": _value("prior_hua", bound_prior_hua(profile), n, True),
+        "nn1": _value("nn1", bound_nn_1(profile), n, connected),
+        "nn2": _value("nn2", bound_nn_2(profile), n, connected),
+        "nn3": _value("nn3", bound_nn_3(profile), n, connected),
+        "nn4": _value("nn4", bound_nn_4(profile), n, connected),
+        "nn5": _value("nn5", bound_nn_5(profile), n, connected),
     }
-    if profile.is_regular:
-        bounds["regular"] = _value("regular", bound_regular(profile, k), n, True)
-    else:
-        bounds["regular"] = BoundValue("regular", None, None, None, False)
-    return BoundReport(n=n, k=k, connected=connected, bounds=bounds)
+    below = {}  # the same values at k < n, where none applies
+    if ks and ks[0] < n:
+        below = {
+            name: BoundValue(name, b.raw, b.ceil, b.parity_lifted, False) for name, b in full.items()
+        }
+    reports: dict[int, BoundReport] = {}
+    for k in ks:
+        bounds = dict(full if k == n else below)
+        bounds["ksub1"] = _value("ksub1", bound_ksub_1(profile, k), n, True)
+        bounds["ksub2"] = _value("ksub2", bound_ksub_2(profile, k), n, True)
+        if profile.is_regular:
+            bounds["regular"] = _value("regular", bound_regular(profile, k), n, True)
+        else:
+            bounds["regular"] = BoundValue("regular", None, None, None, False)
+        reports[k] = BoundReport(n=n, k=k, connected=connected, bounds=bounds)
+    return reports

@@ -41,9 +41,10 @@ from .solver import BRUTE_FORCE_CAP, Mode, result_record, solve
 
 def _load_graph(path: str, order: int | None) -> Graph:
     """Read a DIMACS file (first non-blank line starts with ``p`` or ``c``)
-    or else an edge list; no edge-list line can start that way."""
+    or else an edge list; no edge-list line can start that way. A leading
+    UTF-8 byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise click.UsageError(f"cannot read {path}: {e}")
     first = next((ln for ln in text.splitlines() if ln.strip()), "")

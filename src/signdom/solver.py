@@ -8,10 +8,15 @@ at least k vertices.
 
 Two independent engines compute it: exhaustive enumeration
 (:func:`solve_bruteforce`, the oracle) and depth-first branch-and-bound
-(:func:`solve_bnb`). One enumeration per mode answers every k
-(:func:`bruteforce_optima`): it keeps the least weight for each exact
-satisfied count, and the optimum for k is the least over counts >= k.
-Both engines return the same canonical witness: the
+(:func:`solve_bnb`). Each answers many k from one call. One enumeration
+answers every k (:func:`bruteforce_optima` for one mode,
+:func:`bruteforce_optima_both` for both from the same pass): it keeps
+the least weight for each exact satisfied count, and the optimum for k
+is the least over counts >= k. :func:`bnb_optima` builds the search
+state once per graph and mode and solves the requested k in ascending
+order: a search may stop at the previous optimum, since optima never
+decrease in k, and a previous witness that already satisfies k vertices
+answers k with no search. Both engines return the same canonical witness: the
 lexicographically smallest optimal sign vector under the ordering
 +1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
 search: it branches vertices in id order, +1 first, accepts ties with the
@@ -30,6 +35,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from operator import mul
+from typing import Iterable
 
 from .graph import Graph
 
@@ -43,6 +49,8 @@ __all__ = [
     "greedy_upper",
     "solve_bruteforce",
     "bruteforce_optima",
+    "bruteforce_optima_both",
+    "bnb_optima",
     "solve_bnb",
     "solve",
     "result_record",
@@ -192,57 +200,92 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     return SignAssignment(tuple(signs))
 
 
-def _brute_force(graph: Graph, mode: Mode, cap: int, ks: range) -> dict[int, SolveResult]:
-    """Exact results for every k in ``ks`` from one pass over all 2^n
+def _brute_force(
+    graph: Graph, modes: tuple[Mode, ...], cap: int, ks: range
+) -> dict[Mode, dict[int, SolveResult]]:
+    """Exact results for every k in ``ks`` and every mode in ``modes``
+    (one mode, or NONNEG and SIGNED) from one pass over all 2^n
     assignments.
 
-    For each exact satisfied count c >= min(ks) it records the least
-    weight and the first mask reaching it; the result for k is the least
-    (weight, mask) over c >= k, and its satisfied count is that c. A mask
-    is skipped, uncounted, when its weight is at least the current optimum
-    for max(ks): since optima never decrease in k, it cannot lower the
-    optimum for any k in ``ks``.
+    For each mode and exact satisfied count c >= min(ks) it records the
+    least weight and the first mask reaching it; the result for k is the
+    least (weight, mask) over c >= k, and its satisfied count is that c.
+    A mask is skipped, uncounted, when its weight is at least the current
+    optimum for max(ks) in the last mode: since optima never decrease in
+    k, and the signed optimum is never below the nonneg one, it cannot
+    lower the optimum for any k in ``ks`` in either mode.
     """
     n = graph.vertex_count
     if n > cap:
         raise ValueError(f"brute force capped at {cap} vertices (graph has {n}); raise cap to override")
-    tau = mode.threshold
     # Bit n-1-v holds vertex v (1 = sign -1), so ascending mask order is
     # lexicographic order on sign vectors with +1 < -1.
-    closed = [
-        (
-            sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)),
-            (graph.degree(v) + 1 - tau) // 2,  # most negatives N[v] may hold
-        )
-        for v in range(n)
-    ]
+    closed = [sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)) for v in range(n)]
     k_lo, k_hi = ks[0], ks[-1]
-    best_weight = [n + 1] * (n + 1)  # per exact count; n + 1: none yet
-    best_mask = [0] * (n + 1)
-    cutoff = n + 1  # current optimum for k_hi
-    for mask in range(1 << n):
-        weight = n - 2 * mask.bit_count()
-        if weight >= cutoff:
-            continue
-        count = 0
-        for cmask, most in closed:
-            if (mask & cmask).bit_count() <= most:
-                count += 1
-        if count >= k_lo and weight < best_weight[count]:
-            best_weight[count] = weight
-            best_mask[count] = mask
-            if count >= k_hi:
-                cutoff = weight
-    results: dict[int, SolveResult] = {}
-    best = (n + 1, 0, n)  # (weight, mask, count), least over counts >= k
-    for k in range(n, k_lo - 1, -1):
-        best = min(best, (best_weight[k], best_mask[k], k))
-        if k in ks:
-            weight, mask, count = best
-            witness = SignAssignment(
-                tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
-            )
-            results[k] = SolveResult(weight, witness, count, SearchStats(nodes=1 << n))
+    best_weight = {mode: [n + 1] * (n + 1) for mode in modes}  # per exact count; n + 1: none yet
+    best_mask = {mode: [0] * (n + 1) for mode in modes}
+    cutoff = n + 1  # current optimum for k_hi in the last mode
+    if len(modes) == 1:
+        tau = modes[0].threshold
+        weights, masks = best_weight[modes[0]], best_mask[modes[0]]
+        # (N[v], the most negatives N[v] may hold)
+        vertices = [(cmask, (graph.degree(v) + 1 - tau) // 2) for v, cmask in enumerate(closed)]
+        for mask in range(1 << n):
+            weight = n - 2 * mask.bit_count()
+            if weight >= cutoff:
+                continue
+            count = 0
+            for cmask, most in vertices:
+                if (mask & cmask).bit_count() <= most:
+                    count += 1
+            if count >= k_lo and weight < weights[count]:
+                weights[count] = weight
+                masks[count] = mask
+                if count >= k_hi:
+                    cutoff = weight
+    else:
+        # N[v] may hold d//2 negatives in signed mode; in nonneg mode one
+        # more when d is odd (``edge``), and the same when d is even (-1:
+        # no count equals it), so one popcount per vertex serves both.
+        vertices = [
+            (cmask, d // 2, d // 2 + 1 if d % 2 else -1)
+            for cmask, d in zip(closed, map(graph.degree, range(n)))
+        ]
+        nn_weights, nn_masks = best_weight[Mode.NONNEG], best_mask[Mode.NONNEG]
+        s_weights, s_masks = best_weight[Mode.SIGNED], best_mask[Mode.SIGNED]
+        for mask in range(1 << n):
+            weight = n - 2 * mask.bit_count()
+            if weight >= cutoff:
+                continue
+            signed = extra = 0
+            for cmask, most, edge in vertices:
+                c = (mask & cmask).bit_count()
+                if c <= most:
+                    signed += 1
+                elif c == edge:
+                    extra += 1
+            count = signed + extra
+            if count >= k_lo and weight < nn_weights[count]:
+                nn_weights[count] = weight
+                nn_masks[count] = mask
+            if signed >= k_lo and weight < s_weights[signed]:
+                s_weights[signed] = weight
+                s_masks[signed] = mask
+                if signed >= k_hi:
+                    cutoff = weight
+    results: dict[Mode, dict[int, SolveResult]] = {}
+    for mode in modes:
+        weights, masks = best_weight[mode], best_mask[mode]
+        results[mode] = {}
+        best = (n + 1, 0, n)  # (weight, mask, count), least over counts >= k
+        for k in range(n, k_lo - 1, -1):
+            best = min(best, (weights[k], masks[k], k))
+            if k in ks:
+                weight, mask, count = best
+                witness = SignAssignment(
+                    tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
+                )
+                results[mode][k] = SolveResult(weight, witness, count, SearchStats(nodes=1 << n))
     return results
 
 
@@ -254,7 +297,7 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     smallest optimal sign vector.
     """
     _check_k(graph.vertex_count, k)
-    return _brute_force(graph, mode, cap, range(k, k + 1))[k]
+    return _brute_force(graph, (mode,), cap, range(k, k + 1))[mode][k]
 
 
 def bruteforce_optima(graph: Graph, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> dict[int, SolveResult]:
@@ -263,11 +306,37 @@ def bruteforce_optima(graph: Graph, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> d
     n = graph.vertex_count
     if n < 1:
         raise ValueError("solving requires a graph with n >= 1")
-    return _brute_force(graph, mode, cap, range(1, n + 1))
+    return _brute_force(graph, (mode,), cap, range(1, n + 1))[mode]
+
+
+def bruteforce_optima_both(graph: Graph, cap: int = BRUTE_FORCE_CAP) -> dict[Mode, dict[int, SolveResult]]:
+    """:func:`bruteforce_optima` in both modes, keyed by mode, from one
+    enumeration that counts each vertex's negatives once per assignment
+    and compares the count with both thresholds."""
+    n = graph.vertex_count
+    if n < 1:
+        raise ValueError("solving requires a graph with n >= 1")
+    return _brute_force(graph, (Mode.NONNEG, Mode.SIGNED), cap, range(1, n + 1))
 
 
 def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
-    """Exact optimum and canonical witness by one depth-first branch-and-bound.
+    """Exact optimum and canonical witness by one depth-first
+    branch-and-bound: the one-k case of :func:`bnb_optima`."""
+    return bnb_optima(graph, mode, (k,))[k]
+
+
+def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveResult]:
+    """:func:`solve_bnb` for every k in ``ks``, keyed by k in ascending
+    order, from one build of the search state per graph and mode.
+
+    The k are solved in ascending order, each after the last one solved,
+    k' < k. The optimum never decreases in k, so the search for k stops
+    once it accepts a leaf of weight max(root bound, optimum for k').
+    When the witness for k' satisfies at least k vertices, it is the
+    optimum and the canonical witness for k as well: every assignment
+    feasible for k is feasible for k'. Such a k is answered without a
+    search, with ``SearchStats()`` (0 nodes). A single k is searched as
+    below, node for node.
 
     Vertices are branched in id order, +1 before -1, so leaves are met in
     lexicographic order. The incumbent starts at the weight of
@@ -311,7 +380,11 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
     (``prunes_global_lb``).
     """
     n = graph.vertex_count
-    _check_k(n, k)
+    ks = sorted(set(ks))
+    for k in ks:
+        _check_k(n, k)
+    if not ks:
+        return {}
     tau = mode.threshold
     adj = graph.adjacency
     size = [len(nbrs) + 1 for nbrs in adj]  # d_v + 1
@@ -335,12 +408,7 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
         insort(rest, size[depth])
         prefix[depth] = list(accumulate(reversed(rest), initial=0))
 
-    cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
-    root_lb: int | None = None  # the residual bound at the root, set on its visit
     signs = [0] * n
-    witness: tuple[int, ...] | None = None
-    stop = False
-    nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
 
     def dfs(v: int, weight: int, room: int, short: int) -> None:
         nonlocal cutoff, root_lb, witness, stop
@@ -377,7 +445,7 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
             return
         bound = weight - (n - v) + 2 * p
         if not v:
-            root_lb = bound
+            root_lb = max(bound, floor)
         if bound >= cutoff:
             prunes_r += 1
             return
@@ -388,19 +456,32 @@ def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:
         signs[v] = -1
         dfs(v + 1, weight - 1, room - nb[v], short)
 
-    dfs(0, 0, room0, short0)
-    if witness is None:
-        raise RuntimeError("internal error: the search accepted no leaf")
-    best = SignAssignment(witness)
-    ev = evaluate(graph, best, mode)
-    if ev.weight != cutoff or ev.satisfied_count < k:
-        raise RuntimeError("internal error: the accepted witness is inconsistent")
-    return SolveResult(
-        optimum=cutoff,
-        witness=best,
-        satisfied_count=ev.satisfied_count,
-        stats=SearchStats(nodes, prunes_w, prunes_s, prunes_r, prunes_lb),
-    )
+    results: dict[int, SolveResult] = {}
+    last: SolveResult | None = None
+    for k in ks:
+        if last is not None and last.satisfied_count >= k:
+            results[k] = SolveResult(last.optimum, last.witness, last.satisfied_count, SearchStats())
+            continue
+        cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
+        floor = -n if last is None else last.optimum  # no weight is below -n
+        root_lb: int | None = None  # the stop weight, set on the root's visit
+        witness: tuple[int, ...] | None = None
+        stop = False
+        nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
+        dfs(0, 0, room0, short0)
+        if witness is None:
+            raise RuntimeError("internal error: the search accepted no leaf")
+        best = SignAssignment(witness)
+        ev = evaluate(graph, best, mode)
+        if ev.weight != cutoff or ev.satisfied_count < k:
+            raise RuntimeError("internal error: the accepted witness is inconsistent")
+        results[k] = last = SolveResult(
+            optimum=cutoff,
+            witness=best,
+            satisfied_count=ev.satisfied_count,
+            stats=SearchStats(nodes, prunes_w, prunes_s, prunes_r, prunes_lb),
+        )
+    return results
 
 
 def solve(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from . import bounds as bounds_mod
 from .graph import (
@@ -35,10 +36,10 @@ from .solver import (
     Mode,
     SignAssignment,
     SolveResult,
-    bruteforce_optima,
+    bnb_optima,
+    bruteforce_optima_both,
     evaluate,
     greedy_upper,
-    solve_bnb,
 )
 
 __all__ = [
@@ -221,12 +222,14 @@ class _Tally:
         self,
         check: str,
         ok: bool,
-        observed: object,
-        expected: object,
+        shown: Callable[[], tuple[object, object]],
         detail: str,
         k: int | None = None,
         mode: Mode | None = None,
     ) -> None:
+        """Count one result of ``check``. ``shown`` returns the observed
+        and expected values; it is called, and its values rendered with
+        str(), only for a failed result."""
         if check not in self.active:
             return
         result = self.results[check]
@@ -234,6 +237,7 @@ class _Tally:
             result.passed += 1
         else:
             result.failed += 1
+            observed, expected = shown()
             result.counterexamples.append(
                 Counterexample(
                     check=check,
@@ -249,21 +253,20 @@ class _Tally:
 
 
 def _degree_inequalities_full_domination(
-    graph: Graph, profile: DegreeProfile, f: SignAssignment, tally: _Tally
+    graph: Graph, profile: DegreeProfile, degrees: list[int], f: SignAssignment, tally: _Tally
 ) -> None:
     """Degree inequalities that every fully-satisfying nonneg assignment on
     a connected graph must obey."""
     n = graph.vertex_count
     pos = f.positives()
     neg = f.negatives()
-    deg = graph.degree
+    deg = degrees.__getitem__
     lhs1 = sum(deg(v) for v in pos)
     rhs1 = n + profile.n_e - 2 * len(pos) + sum(deg(v) for v in neg)
     tally.record(
         "degree-inequalities",
         lhs1 >= rhs1,
-        lhs1,
-        f">= {rhs1}",
+        lambda: (lhs1, f">= {rhs1}"),
         "sum of P-degrees vs n + n_e - 2|P| + sum of M-degrees",
         k=n,
         mode=Mode.NONNEG,
@@ -273,8 +276,7 @@ def _degree_inequalities_full_domination(
     tally.record(
         "degree-inequalities",
         lhs2 >= rhs2,
-        lhs2,
-        f">= {rhs2}",
+        lambda: (lhs2, f">= {rhs2}"),
         "induced P-degrees vs sum of ceil((deg-1)/2) over P",
         k=n,
         mode=Mode.NONNEG,
@@ -282,20 +284,19 @@ def _degree_inequalities_full_domination(
 
 
 def _degree_inequality_subdomination(
-    graph: Graph, f: SignAssignment, ev: EvalResult, k: int, tally: _Tally
+    degrees: list[int], f: SignAssignment, ev: EvalResult, k: int, tally: _Tally
 ) -> None:
     """Degree inequality every optimal nonneg k-subdominating assignment
     must obey, in terms of the satisfied positive/negative split; ``ev``
     is the nonneg evaluation of ``f``."""
     pos = f.positives()
-    deg = graph.degree
+    deg = degrees.__getitem__
     lhs = sum(deg(v) for v in pos) + len(ev.p1)
     rhs = sum((deg(v) + 2) // 2 for v in ev.p1 | ev.m1)
     tally.record(
         "degree-inequalities",
         lhs >= rhs,
-        lhs,
-        f">= {rhs}",
+        lambda: (lhs, f">= {rhs}"),
         "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1",
         k=k,
         mode=Mode.NONNEG,
@@ -315,27 +316,36 @@ def _graph_battery(
         lhs = 2 * profile.ceil_half_sum(n)
         rhs = 2 * profile.m + n + profile.n_e
         tally.record(
-            "degree-identity", lhs == rhs, lhs, rhs, "2*sum ceil((d_i+1)/2) vs 2m+n+n_e"
+            "degree-identity",
+            lhs == rhs,
+            lambda: (lhs, rhs),
+            "2*sum ceil((d_i+1)/2) vs 2m+n+n_e",
         )
 
     if "ksub-reduction" in active:
         left1 = bounds_mod.bound_ksub_1(profile, n)
         right1 = bounds_mod.bound_nn_2(profile)
-        tally.record("ksub-reduction", left1 == right1, left1, right1, "ksub1 at k=n vs nn2", k=n)
+        tally.record(
+            "ksub-reduction", left1 == right1, lambda: (left1, right1), "ksub1 at k=n vs nn2", k=n
+        )
         left2 = bounds_mod.bound_ksub_2(profile, n)
         right2 = bounds_mod.bound_nn_3(profile)
-        tally.record("ksub-reduction", left2 == right2, left2, right2, "ksub2 at k=n vs nn3", k=n)
+        tally.record(
+            "ksub-reduction", left2 == right2, lambda: (left2, right2), "ksub2 at k=n vs nn3", k=n
+        )
 
     if not (_SOLVE_CHECKS & active):
         return sorted(tally.results.values(), key=lambda r: r.name)
 
-    use_brute = n <= BRUTE_THRESHOLD
+    oracles = bruteforce_optima_both(graph) if n <= BRUTE_THRESHOLD else {}
+    degrees = [len(nbrs) for nbrs in graph.adjacency]
     exact: dict[tuple[Mode, int], SolveResult] = {}
     evals: dict[tuple[Mode, int], tuple[SignAssignment, EvalResult]] = {}
     for mode in (Mode.NONNEG, Mode.SIGNED):
-        oracle = bruteforce_optima(graph, mode) if use_brute else {}
+        oracle = oracles.get(mode, {})
+        solved = bnb_optima(graph, mode, ks)
         for k in ks:
-            bnb = solve_bnb(graph, k, mode)
+            bnb = solved[k]
             brute = oracle.get(k)
             exact[(mode, k)] = brute if brute is not None else bnb
 
@@ -343,8 +353,7 @@ def _graph_battery(
                 tally.record(
                     "oracle-equivalence",
                     bnb.optimum == brute.optimum,
-                    bnb.optimum,
-                    brute.optimum,
+                    lambda: (bnb.optimum, brute.optimum),
                     "branch-and-bound optimum vs exhaustive optimum",
                     k=k,
                     mode=mode,
@@ -352,8 +361,7 @@ def _graph_battery(
                 tally.record(
                     "oracle-equivalence",
                     bnb.witness == brute.witness,
-                    bnb.witness.to_string(),
-                    brute.witness.to_string(),
+                    lambda: (bnb.witness.to_string(), brute.witness.to_string()),
                     "canonical witness agreement",
                     k=k,
                     mode=mode,
@@ -363,8 +371,10 @@ def _graph_battery(
             tally.record(
                 "witness-validity",
                 ev.weight == bnb.optimum and ev.satisfied_count >= k,
-                f"weight={ev.weight}, satisfied={ev.satisfied_count}",
-                f"weight={bnb.optimum}, satisfied>={k}",
+                lambda: (
+                    f"weight={ev.weight}, satisfied={ev.satisfied_count}",
+                    f"weight={bnb.optimum}, satisfied>={k}",
+                ),
                 "witness evaluates to the reported optimum and feasibility",
                 k=k,
                 mode=mode,
@@ -372,28 +382,24 @@ def _graph_battery(
             tally.record(
                 "parity",
                 (bnb.optimum - n) % 2 == 0,
-                bnb.optimum,
-                f"congruent to {n} mod 2",
+                lambda: (bnb.optimum, f"congruent to {n} mod 2"),
                 "optimum weight parity",
                 k=k,
                 mode=mode,
             )
-            parity_ok = all(
-                (ev.closed_sums[v] - (graph.degree(v) + 1)) % 2 == 0 for v in range(n)
-            )
             tally.record(
                 "parity",
-                parity_ok,
-                tuple(ev.closed_sums),
-                "each sum congruent to deg+1 mod 2",
+                all((s - (d + 1)) % 2 == 0 for s, d in zip(ev.closed_sums, degrees)),
+                lambda: (tuple(ev.closed_sums), "each sum congruent to deg+1 mod 2"),
                 "closed-sum parity",
                 k=k,
                 mode=mode,
             )
 
     if "bound-dominance" in active:
+        reports = bounds_mod.bound_reports(graph, ks)
         for k in ks:
-            report = bounds_mod.bound_report(graph, k)
+            report = reports[k]
             opt = exact[(Mode.NONNEG, k)].optimum
             for name in bounds_mod.BOUND_NAMES:
                 b = report[name]
@@ -402,8 +408,7 @@ def _graph_battery(
                 tally.record(
                     "bound-dominance",
                     b.raw <= opt,
-                    opt,
-                    f">= {b.raw}",
+                    lambda: (opt, f">= {b.raw}"),
                     f"exact optimum vs {name} raw",
                     k=k,
                     mode=Mode.NONNEG,
@@ -411,8 +416,7 @@ def _graph_battery(
                 tally.record(
                     "bound-dominance",
                     b.parity_lifted <= opt,
-                    opt,
-                    f">= {b.parity_lifted}",
+                    lambda: (opt, f">= {b.parity_lifted}"),
                     f"exact optimum vs {name} parity-lifted",
                     k=k,
                     mode=Mode.NONNEG,
@@ -423,13 +427,13 @@ def _graph_battery(
             full = [exact[(Mode.NONNEG, n)].witness, greedy_upper(graph, n, Mode.NONNEG)]
             full.append(SignAssignment.all_plus(n))
             for f in full:
-                _degree_inequalities_full_domination(graph, profile, f, tally)
+                _degree_inequalities_full_domination(graph, profile, degrees, f, tally)
         for k in ks:
             f = exact[(Mode.NONNEG, k)].witness
             checked, ev = evals[(Mode.NONNEG, k)]
             if checked != f:  # the oracle's witness differs from bnb's
                 ev = evaluate(graph, f, Mode.NONNEG)
-            _degree_inequality_subdomination(graph, f, ev, k, tally)
+            _degree_inequality_subdomination(degrees, f, ev, k, tally)
 
     if "monotonicity" in active:
         for mode in (Mode.NONNEG, Mode.SIGNED):
@@ -438,8 +442,7 @@ def _graph_battery(
             tally.record(
                 "monotonicity",
                 ok,
-                dict(zip(ks, optima)),
-                "nondecreasing in k",
+                lambda: (dict(zip(ks, optima)), "nondecreasing in k"),
                 "optimum as a function of k",
                 mode=mode,
             )
@@ -451,8 +454,7 @@ def _graph_battery(
             tally.record(
                 "mode-dominance",
                 lo <= hi,
-                f"nonneg={lo}, signed={hi}",
-                "nonneg <= signed",
+                lambda: (f"nonneg={lo}, signed={hi}", "nonneg <= signed"),
                 "threshold relaxation can only lower the optimum",
                 k=k,
             )
@@ -464,8 +466,7 @@ def _graph_battery(
             tally.record(
                 "even-graph-equality",
                 lo == hi,
-                f"nonneg={lo}, signed={hi}",
-                "equal on even graphs",
+                lambda: (f"nonneg={lo}, signed={hi}", "equal on even graphs"),
                 "all degrees even forces both modes to coincide",
                 k=k,
             )
@@ -481,9 +482,10 @@ def run_campaign(
 ) -> CampaignReport:
     """Run the selected checks over the ensemble and aggregate a report.
 
-    Every graph is solved by branch-and-bound; graphs with at most
-    ``BRUTE_THRESHOLD`` vertices are also solved by exhaustive enumeration
-    for the oracle-equivalence check. ``workers`` > 1 distributes graphs
+    Every graph is solved by branch-and-bound, one call per mode for all
+    of its k; graphs with at most ``BRUTE_THRESHOLD`` vertices are also
+    solved by one exhaustive enumeration for both modes, the oracle of
+    the oracle-equivalence check. ``workers`` > 1 distributes graphs
     over a process pool; aggregation order is fixed by the ensemble order
     either way.
     """

@@ -145,6 +145,30 @@ def test_criterion_09_structural_properties(default_campaign):
     _report_pass(9, "structural-properties")
 
 
+# What the default campaign records, check by check: a battery that drops
+# or repeats a record changes one of these counts.
+DEFAULT_CAMPAIGN_PASSED = {
+    "bound-dominance": 17032,
+    "degree-identity": 598,
+    "degree-inequalities": 5376,
+    "even-graph-equality": 113,
+    "ksub-reduction": 1196,
+    "mode-dominance": 1788,
+    "monotonicity": 1196,
+    "oracle-equivalence": 7152,
+    "parity": 7152,
+    "witness-validity": 3576,
+}
+
+
+def test_default_campaign_counts_are_pinned(default_campaign):
+    report, _ = default_campaign
+    assert report.graph_count == 598
+    assert {c.name: c.passed for c in report.checks} == DEFAULT_CAMPAIGN_PASSED
+    assert all(c.failed == 0 for c in report.checks)
+    assert report.checks_recorded == sum(DEFAULT_CAMPAIGN_PASSED.values())
+
+
 def test_criterion_10_determinism(default_campaign):
     first, _ = default_campaign
     second = run_campaign()

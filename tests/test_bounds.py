@@ -19,9 +19,11 @@ from signdom import (
     bound_prior_hua,
     bound_regular,
     bound_report,
+    bound_reports,
     degree_profile,
     gen_complete,
     gen_cycle,
+    gen_gnp,
     gen_hajos,
     gen_path,
     gen_sun,
@@ -277,3 +279,18 @@ def test_report_ceilings_and_closed_forms(g):
         assert rep["ksub1"].raw == oracles.ksub1(g, k)
         if regular:
             assert rep["regular"].raw == oracles.regular(g, k)
+
+
+def test_bound_reports_match_per_k_reports():
+    grid = [gen_gnp(n, p, seed) for n in (1, 4, 7, 10) for p in (0.2, 0.5, 0.8) for seed in range(3)]
+    grid += [gen_cycle(6), gen_sun(2), gen_complete(5), gen_hajos(), gen_path(4)]
+    for g in grid:
+        n = g.vertex_count
+        reports = bound_reports(g, range(n, 0, -1))
+        assert list(reports) == list(range(1, n + 1))
+        for k, report in reports.items():
+            assert report == bound_report(g, k), k
+    assert bound_reports(gen_cycle(6), []) == {}
+    for bad in ([0], [3, 7]):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            bound_reports(gen_cycle(6), bad)

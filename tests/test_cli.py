@@ -439,6 +439,20 @@ def test_input_format_is_read_from_the_file(runner, tmp_path):
         assert "No such option" in result.output
 
 
+def test_byte_order_mark_is_ignored(runner, tmp_path):
+    graph = gen_sun(2)
+    for name, text in (("sun2.col", to_dimacs(graph)), ("sun2.gr", to_edge_list(graph))):
+        plain = tmp_path / name
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for args in (["solve"], ["bounds", "--format", "jsonl"]):
+            results = [invoke(runner, args[0], str(path), *args[1:]) for path in (plain, marked)]
+            assert [r.exit_code for r in results] == [0, 0]
+            assert results[0].output == results[1].output
+            assert json.loads(results[1].output)["n"] == 8
+
+
 def test_non_utf8_graph_file_is_usage_error(runner, tmp_path):
     path = tmp_path / "bin.gr"
     path.write_bytes(b"\xff\xfe\x00\x01")

@@ -5,8 +5,11 @@ import hypothesis.strategies as st
 from signdom import (
     Graph,
     Mode,
+    SearchStats,
     SignAssignment,
+    bnb_optima,
     bruteforce_optima,
+    bruteforce_optima_both,
     evaluate,
     exact_cycle_signed,
     gen_circulant,
@@ -218,6 +221,61 @@ def test_bnb_search_counters_pinned(g, k, mode, counters):
     assert (s.nodes, s.prunes_weight, s.prunes_satisfiability, s.prunes_residual, s.prunes_global_lb) == counters
 
 
+_BNB_OPTIMA_GRAPHS = [
+    *(
+        pytest.param(gen_gnp(n, p, seed), id=f"gnp{n}-p{p}-s{seed}")
+        for n in (4, 8, 12)
+        for p in (0.2, 0.5, 0.8)
+        for seed in range(2)
+    ),
+    *(pytest.param(gen_sun(t), id=f"sun{t}") for t in range(2, 7)),
+    *(pytest.param(gen_circulant(n, (1, 2)), id=f"circulant{n}") for n in range(5, 17)),
+]
+
+
+@pytest.mark.parametrize("g", _BNB_OPTIMA_GRAPHS)
+def test_bnb_optima_match_per_k_solves(g):
+    n = g.vertex_count
+    for mode in (Mode.NONNEG, Mode.SIGNED):
+        optima = bnb_optima(g, mode, range(1, n + 1))
+        assert list(optima) == list(range(1, n + 1))
+        for k, r in optima.items():
+            one = solve_bnb(g, k, mode)
+            assert (r.optimum, r.witness, r.satisfied_count) == (
+                one.optimum,
+                one.witness,
+                one.satisfied_count,
+            ), (k, mode)
+        # the least k is searched exactly as alone
+        assert optima[1].stats == solve_bnb(g, 1, mode).stats
+
+
+def test_bnb_optima_reuse_a_witness_that_satisfies_k():
+    g = gen_sun(4)
+    optima = bnb_optima(g, Mode.NONNEG, range(1, 17))
+    reused = [k for k in range(2, 17) if optima[k - 1].satisfied_count >= k]
+    assert reused and len(reused) < 15
+    for k in range(2, 17):
+        if k in reused:
+            assert optima[k].stats == SearchStats()
+            assert optima[k].witness == optima[k - 1].witness
+        else:
+            assert optima[k].stats.nodes > 0
+
+
+def test_bnb_optima_keys_and_errors():
+    g = gen_cycle(7)
+    optima = bnb_optima(g, Mode.SIGNED, [7, 3, 3, 1])
+    assert list(optima) == [1, 3, 7]
+    assert optima[3] == bnb_optima(g, Mode.SIGNED, [3])[3] == solve_bnb(g, 3, Mode.SIGNED)
+    assert bnb_optima(g, Mode.SIGNED, []) == {}
+    for bad in ([0, 3], [3, 8]):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            bnb_optima(g, Mode.SIGNED, bad)
+    with pytest.raises(ValueError, match="n >= 1"):
+        bnb_optima(Graph.from_edges(0, []), Mode.NONNEG, [1])
+
+
 def test_bnb_cycles_signed_match_reference_quickly():
     for n in [*range(15, 47), 63, 64]:  # past the field-width steps at 32 and 64
         g = gen_cycle(n)
@@ -327,6 +385,28 @@ def test_bruteforce_optima_rejects_empty_and_oversized_graphs():
         bruteforce_optima(Graph.from_edges(0, []), Mode.NONNEG)
     with pytest.raises(ValueError, match="capped"):
         bruteforce_optima(gen_cycle(8), Mode.SIGNED, cap=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+def test_bruteforce_optima_both_match_oracle_in_each_mode(g):
+    n = g.vertex_count
+    both = bruteforce_optima_both(g)
+    assert list(both) == [Mode.NONNEG, Mode.SIGNED]
+    for mode, optima in both.items():
+        assert sorted(optima) == list(range(1, n + 1))
+        for k, r in optima.items():
+            assert (r.optimum, r.witness.values) == naive_minimum(g, k, mode)
+            assert r.satisfied_count == evaluate(g, r.witness, mode).satisfied_count >= k
+            assert r.stats.nodes == 1 << n
+        assert optima == bruteforce_optima(g, mode)
+
+
+def test_bruteforce_optima_both_rejects_empty_and_oversized_graphs():
+    with pytest.raises(ValueError, match="n >= 1"):
+        bruteforce_optima_both(Graph.from_edges(0, []))
+    with pytest.raises(ValueError, match="capped"):
+        bruteforce_optima_both(gen_cycle(8), cap=7)
 
 
 @settings(max_examples=40, deadline=None)
