@@ -10,13 +10,14 @@ Two independent engines compute it: exhaustive enumeration
 (:func:`solve_bruteforce`, the oracle) and depth-first branch-and-bound
 (:func:`solve_bnb`). Each answers many k from one call. One enumeration
 answers every k (:func:`bruteforce_optima` for one mode,
-:func:`bruteforce_optima_both` for both from the same pass): it keeps
-the least weight for each exact satisfied count, and the optimum for k
-is the least over counts >= k. :func:`bnb_optima` builds the search
-state once per graph and mode and solves the requested k in ascending
-order: a search may stop at the previous optimum, since optima never
-decrease in k, and a previous witness that already satisfies k vertices
-answers k with no search. Both engines return the same canonical witness: the
+:func:`bruteforce_optima_both` for both from the same pass, on all
+assignments at once in bit-sliced integer arithmetic): the optimum for
+k is the least weight over the assignments that satisfy at least k
+vertices. :func:`bnb_optima` builds the search state once per graph
+and mode and solves the requested k in ascending order: a search may
+stop at the previous optimum, since optima never decrease in k, and a
+previous witness that already satisfies k vertices answers k with no
+search. Both engines return the same canonical witness: the
 lexicographically smallest optimal sign vector under the ordering
 +1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
 search: it branches vertices in id order, +1 first, accepts ties with the
@@ -200,92 +201,57 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     return SignAssignment(tuple(signs))
 
 
-def _brute_force(
-    graph: Graph, modes: tuple[Mode, ...], cap: int, ks: range
-) -> dict[Mode, dict[int, SolveResult]]:
-    """Exact results for every k in ``ks`` and every mode in ``modes``
-    (one mode, or NONNEG and SIGNED) from one pass over all 2^n
+def _brute_force(graph: Graph, mode: Mode, cap: int, ks: range) -> dict[int, SolveResult]:
+    """Exact results for every k in ``ks`` from one pass over all 2^n
     assignments.
 
-    For each mode and exact satisfied count c >= min(ks) it records the
-    least weight and the first mask reaching it; the result for k is the
-    least (weight, mask) over c >= k, and its satisfied count is that c.
-    A mask is skipped, uncounted, when its weight is at least the current
-    optimum for max(ks) in the last mode: since optima never decrease in
-    k, and the signed optimum is never below the nonneg one, it cannot
-    lower the optimum for any k in ``ks`` in either mode.
+    For each exact satisfied count c >= min(ks) it records the least
+    weight and the first mask reaching it; the result for k is the least
+    (weight, mask) over c >= k, and its satisfied count is that c. A mask
+    is skipped, uncounted, when its weight is at least the current optimum
+    for max(ks): since optima never decrease in k, it cannot lower the
+    optimum for any k in ``ks``.
     """
     n = graph.vertex_count
     if n > cap:
         raise ValueError(f"brute force capped at {cap} vertices (graph has {n}); raise cap to override")
+    tau = mode.threshold
     # Bit n-1-v holds vertex v (1 = sign -1), so ascending mask order is
     # lexicographic order on sign vectors with +1 < -1.
-    closed = [sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)) for v in range(n)]
+    closed = [
+        (
+            sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)),
+            (graph.degree(v) + 1 - tau) // 2,  # most negatives N[v] may hold
+        )
+        for v in range(n)
+    ]
     k_lo, k_hi = ks[0], ks[-1]
-    best_weight = {mode: [n + 1] * (n + 1) for mode in modes}  # per exact count; n + 1: none yet
-    best_mask = {mode: [0] * (n + 1) for mode in modes}
-    cutoff = n + 1  # current optimum for k_hi in the last mode
-    if len(modes) == 1:
-        tau = modes[0].threshold
-        weights, masks = best_weight[modes[0]], best_mask[modes[0]]
-        # (N[v], the most negatives N[v] may hold)
-        vertices = [(cmask, (graph.degree(v) + 1 - tau) // 2) for v, cmask in enumerate(closed)]
-        for mask in range(1 << n):
-            weight = n - 2 * mask.bit_count()
-            if weight >= cutoff:
-                continue
-            count = 0
-            for cmask, most in vertices:
-                if (mask & cmask).bit_count() <= most:
-                    count += 1
-            if count >= k_lo and weight < weights[count]:
-                weights[count] = weight
-                masks[count] = mask
-                if count >= k_hi:
-                    cutoff = weight
-    else:
-        # N[v] may hold d//2 negatives in signed mode; in nonneg mode one
-        # more when d is odd (``edge``), and the same when d is even (-1:
-        # no count equals it), so one popcount per vertex serves both.
-        vertices = [
-            (cmask, d // 2, d // 2 + 1 if d % 2 else -1)
-            for cmask, d in zip(closed, map(graph.degree, range(n)))
-        ]
-        nn_weights, nn_masks = best_weight[Mode.NONNEG], best_mask[Mode.NONNEG]
-        s_weights, s_masks = best_weight[Mode.SIGNED], best_mask[Mode.SIGNED]
-        for mask in range(1 << n):
-            weight = n - 2 * mask.bit_count()
-            if weight >= cutoff:
-                continue
-            signed = extra = 0
-            for cmask, most, edge in vertices:
-                c = (mask & cmask).bit_count()
-                if c <= most:
-                    signed += 1
-                elif c == edge:
-                    extra += 1
-            count = signed + extra
-            if count >= k_lo and weight < nn_weights[count]:
-                nn_weights[count] = weight
-                nn_masks[count] = mask
-            if signed >= k_lo and weight < s_weights[signed]:
-                s_weights[signed] = weight
-                s_masks[signed] = mask
-                if signed >= k_hi:
-                    cutoff = weight
-    results: dict[Mode, dict[int, SolveResult]] = {}
-    for mode in modes:
-        weights, masks = best_weight[mode], best_mask[mode]
-        results[mode] = {}
-        best = (n + 1, 0, n)  # (weight, mask, count), least over counts >= k
-        for k in range(n, k_lo - 1, -1):
-            best = min(best, (weights[k], masks[k], k))
-            if k in ks:
-                weight, mask, count = best
-                witness = SignAssignment(
-                    tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
-                )
-                results[mode][k] = SolveResult(weight, witness, count, SearchStats(nodes=1 << n))
+    best_weight = [n + 1] * (n + 1)  # per exact count; n + 1: none yet
+    best_mask = [0] * (n + 1)
+    cutoff = n + 1  # current optimum for k_hi
+    for mask in range(1 << n):
+        weight = n - 2 * mask.bit_count()
+        if weight >= cutoff:
+            continue
+        count = 0
+        for cmask, most in closed:
+            if (mask & cmask).bit_count() <= most:
+                count += 1
+        if count >= k_lo and weight < best_weight[count]:
+            best_weight[count] = weight
+            best_mask[count] = mask
+            if count >= k_hi:
+                cutoff = weight
+    results: dict[int, SolveResult] = {}
+    best = (n + 1, 0, n)  # (weight, mask, count), least over counts >= k
+    for k in range(n, k_lo - 1, -1):
+        best = min(best, (best_weight[k], best_mask[k], k))
+        if k in ks:
+            weight, mask, count = best
+            witness = SignAssignment(
+                tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
+            )
+            results[k] = SolveResult(weight, witness, count, SearchStats(nodes=1 << n))
     return results
 
 
@@ -297,7 +263,7 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     smallest optimal sign vector.
     """
     _check_k(graph.vertex_count, k)
-    return _brute_force(graph, (mode,), cap, range(k, k + 1))[mode][k]
+    return _brute_force(graph, mode, cap, range(k, k + 1))[k]
 
 
 def bruteforce_optima(graph: Graph, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> dict[int, SolveResult]:
@@ -306,17 +272,93 @@ def bruteforce_optima(graph: Graph, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> d
     n = graph.vertex_count
     if n < 1:
         raise ValueError("solving requires a graph with n >= 1")
-    return _brute_force(graph, (mode,), cap, range(1, n + 1))[mode]
+    return _brute_force(graph, mode, cap, range(1, n + 1))
 
 
-def bruteforce_optima_both(graph: Graph, cap: int = BRUTE_FORCE_CAP) -> dict[Mode, dict[int, SolveResult]]:
+def _add_bits(planes: list[int], bits: int) -> None:
+    """Add ``bits`` (1 or 0 at each mask) to the bit-sliced count
+    ``planes``: ``planes[i]`` holds bit i of every mask's count."""
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ bits
+        bits &= plane
+        if not bits:
+            return
+    planes.append(bits)
+
+
+def _counts_above(planes: list[int], c: int) -> int:
+    """The masks whose bit-sliced count exceeds c, for 0 <= c <
+    2^len(planes): those that first differ from c, from the top bit
+    down, by a 1 where c has a 0."""
+    above = 0
+    equal = -1  # every mask, less those with a 0 where c has a 1
+    for i in range(len(planes) - 1, -1, -1):
+        if (c >> i) & 1:
+            equal &= planes[i]
+        else:
+            above |= equal & planes[i]
+    return above
+
+
+def bruteforce_optima_both(graph: Graph) -> dict[Mode, dict[int, SolveResult]]:
     """:func:`bruteforce_optima` in both modes, keyed by mode, from one
-    enumeration that counts each vertex's negatives once per assignment
-    and compares the count with both thresholds."""
+    enumeration of the 2^n assignments, run on all of them at once.
+
+    Bit m of an integer stands for mask m, whose bit n-1-v set means
+    vertex v is -1, as in :func:`solve_bruteforce`; one integer operation
+    thus acts on every assignment, and a count per assignment is kept
+    bit-sliced (:func:`_add_bits`). Each vertex's negatives in N[v] are
+    counted once and compared with the threshold of each mode, and the
+    satisfied vertices are counted per mode. The optimum for k is set by
+    the most negatives among the masks that satisfy at least k vertices,
+    and the lowest such mask is the canonical witness. A k that the
+    witness for k - 1 already satisfies keeps that result. Refuses graphs
+    with more than ``BRUTE_FORCE_CAP`` vertices.
+    """
     n = graph.vertex_count
     if n < 1:
         raise ValueError("solving requires a graph with n >= 1")
-    return _brute_force(graph, (Mode.NONNEG, Mode.SIGNED), cap, range(1, n + 1))
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_CAP} vertices (graph has {n})")
+    size = 1 << n
+    full = (1 << size) - 1
+    # column[v]: the masks with vertex v at -1, alternating runs of `run` zeros and ones
+    column = []
+    for v in range(n):
+        run = 1 << (n - 1 - v)
+        column.append((((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1)))
+    negatives: list[int] = []
+    for bits in column:
+        _add_bits(negatives, bits)
+    # at_least[j]: the masks with at least j negatives
+    at_least = [full] + [_counts_above(negatives, j) for j in range(n)]
+    satisfied: dict[Mode, list[int]] = {Mode.NONNEG: [], Mode.SIGNED: []}
+    for v, nbrs in enumerate(graph.adjacency):
+        held = [column[v]]  # negatives in N[v]
+        for u in nbrs:
+            _add_bits(held, column[u])
+        for mode, planes in satisfied.items():
+            most = (len(nbrs) + 1 - mode.threshold) // 2  # most negatives N[v] may hold
+            _add_bits(planes, full ^ _counts_above(held, most))
+    results: dict[Mode, dict[int, SolveResult]] = {}
+    for mode, planes in satisfied.items():
+        results[mode] = {}
+        j = n  # optima never decrease in k, so j only falls
+        result: SolveResult | None = None
+        for k in range(1, n + 1):
+            if result is None or result.satisfied_count < k:
+                enough = _counts_above(planes, k - 1)
+                while not enough & at_least[j]:
+                    j -= 1
+                hit = enough & at_least[j]  # all with exactly j negatives
+                mask = (hit & -hit).bit_length() - 1
+                count = sum(((plane >> mask) & 1) << i for i, plane in enumerate(planes))
+                witness = SignAssignment(
+                    tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
+                )
+                result = SolveResult(n - 2 * j, witness, count, SearchStats(nodes=size))
+            results[mode][k] = result
+    return results
 
 
 def solve_bnb(graph: Graph, k: int, mode: Mode) -> SolveResult:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signdom import (
+    BRUTE_FORCE_CAP,
     Graph,
     Mode,
     SearchStats,
@@ -402,11 +403,30 @@ def test_bruteforce_optima_both_match_oracle_in_each_mode(g):
         assert optima == bruteforce_optima(g, mode)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(
+            pytest.param(gen_gnp(n, p, seed), id=f"gnp{n}-p{p}-s{seed}")
+            for n in (9, 11, 13)
+            for p in (0.2, 0.5, 0.8)
+            for seed in range(2)
+        ),
+        *(pytest.param(gen_sun(t), id=f"sun{t}") for t in range(2, 5)),
+        pytest.param(Graph.from_edges(10, [(0, 1), (1, 2), (5, 6)]), id="isolated-vertices"),
+    ],
+)
+def test_bruteforce_optima_both_match_one_mode_enumeration(g):
+    both = bruteforce_optima_both(g)
+    for mode in (Mode.NONNEG, Mode.SIGNED):
+        assert both[mode] == bruteforce_optima(g, mode)
+
+
 def test_bruteforce_optima_both_rejects_empty_and_oversized_graphs():
     with pytest.raises(ValueError, match="n >= 1"):
         bruteforce_optima_both(Graph.from_edges(0, []))
     with pytest.raises(ValueError, match="capped"):
-        bruteforce_optima_both(gen_cycle(8), cap=7)
+        bruteforce_optima_both(gen_cycle(BRUTE_FORCE_CAP + 1))
 
 
 @settings(max_examples=40, deadline=None)
