@@ -236,28 +236,26 @@ def _value(name: str, raw: Fraction | int, n: int, applicable: bool) -> BoundVal
 def bound_report(graph: Graph, k: int) -> BoundReport:
     """Evaluate every named bound on ``graph`` for parameter ``k``: the
     one-k case of :func:`bound_reports`."""
-    return bound_reports(graph, (k,))[k]
+    return bound_reports(degree_profile(graph), is_connected(graph), (k,))[k]
 
 
-def bound_reports(graph: Graph, ks: Iterable[int]) -> dict[int, BoundReport]:
-    """Evaluate every named bound on ``graph`` for each parameter k in
+def bound_reports(profile: DegreeProfile, connected: bool, ks: Iterable[int]) -> dict[int, BoundReport]:
+    """Evaluate every named bound on the graph with degree profile
+    ``profile`` and connectivity ``connected`` for each parameter k in
     ``ks``, keyed by k in ascending order.
 
     Full-domination bounds (the prior_* and nn* families) constrain only
     the k = n problem, so they are flagged inapplicable for k < n; the nn*
     family additionally requires a connected graph. The ksub bounds hold
     for any graph and any valid k. The regular-graph bound is reported
-    with empty values on non-regular graphs. The degree profile, the
-    connectivity test and the full-domination bounds, which do not depend
-    on k, are computed once for all of ``ks``.
+    with empty values on non-regular graphs. The full-domination bounds,
+    which do not depend on k, are computed once for all of ``ks``.
     """
-    profile = degree_profile(graph)
     _require_order(profile)
     ks = sorted(set(ks))
     for k in ks:
         _check_k(profile, k)
     n = profile.n
-    connected = is_connected(graph)
     full = {  # name -> its value at k = n, where it may apply
         "prior_halfn": _value("prior_halfn", bound_prior_halfn(profile), n, True),
         "prior_deltaceil": _value("prior_deltaceil", bound_prior_deltaceil(profile), n, True),

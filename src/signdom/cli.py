@@ -36,7 +36,7 @@ from .graph import (
     to_edge_list,
 )
 from .reference import reference_table
-from .solver import BRUTE_FORCE_CAP, Mode, result_record, solve
+from .solver import BRUTE_FORCE_CAP, Mode, result_record, solve_bnb, solve_bruteforce
 
 
 def _load_graph(path: str, order: int | None) -> Graph:
@@ -148,7 +148,10 @@ def solve_cmd(graph_file, k, mode, algorithm, brute_cap, order, fmt, output):
         k = graph.vertex_count
     mode = Mode(mode)
     try:
-        result = solve(graph, k, mode, algorithm, brute_cap=brute_cap)
+        if algorithm == "brute":
+            result = solve_bruteforce(graph, k, mode, cap=brute_cap)
+        else:
+            result = solve_bnb(graph, k, mode)
     except ValueError as e:
         raise click.UsageError(str(e))
     record = result_record(graph, k, mode, result)
@@ -280,7 +283,10 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
         n = graph.vertex_count
         k = {"full": n, "half": math.ceil(n / 2), "one": 1}[k_policy]
         report = bounds_mod.bound_report(graph, k)  # the bounds do not depend on mode
-        raws = {key: value for key, value in report.to_record().items() if key.endswith(".raw")}
+        raws = {  # a bound that does not apply at this k bounds nothing: leave it empty
+            f"bound.{name}.raw": str(report[name].raw) if report[name].applicable else ""
+            for name in bounds_mod.BOUND_NAMES
+        }
         for mode in modes:
             records.append({
                 "family": family,
@@ -292,7 +298,7 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
                 "n_e": profile.n_e,
                 "mode": mode.value,
                 "k": k,
-                "exact": solve(graph, k, mode).optimum,
+                "exact": solve_bnb(graph, k, mode).optimum,
                 **raws,
             })
     if fmt == "jsonl":

@@ -6,18 +6,18 @@ threshold (0 in nonneg mode, 1 in signed mode). The optimum for
 parameter k is the minimum total weight over assignments that satisfy
 at least k vertices.
 
-Two independent engines compute it: exhaustive enumeration
-(:func:`solve_bruteforce`, the oracle) and depth-first branch-and-bound
-(:func:`solve_bnb`). Each answers many k from one call. One enumeration
-answers every k (:func:`bruteforce_optima` for one mode,
-:func:`bruteforce_optima_both` for both from the same pass, on all
-assignments at once in bit-sliced integer arithmetic): the optimum for
-k is the least weight over the assignments that satisfy at least k
-vertices. :func:`bnb_optima` builds the search state once per graph
-and mode and solves the requested k in ascending order: a search may
-stop at the previous optimum, since optima never decrease in k, and a
-previous witness that already satisfies k vertices answers k with no
-search. Both engines return the same canonical witness: the
+Two independent engines compute it, each with one entry point for one k
+and one for many. Exhaustive enumeration is the oracle:
+:func:`solve_bruteforce` is a literal loop over the 2^n assignments for
+one k, and :func:`bruteforce_optima_both` answers every k in both modes
+from one enumeration, on all assignments at once in bit-sliced integer
+arithmetic: the optimum for k is the least weight over the assignments
+that satisfy at least k vertices. Depth-first branch-and-bound is
+:func:`solve_bnb` for one k; :func:`bnb_optima` builds the search state
+once per graph and mode and solves the requested k in ascending order: a
+search may stop at the previous optimum, since optima never decrease in
+k, and a previous witness that already satisfies k vertices answers k
+with no search. Both engines return the same canonical witness: the
 lexicographically smallest optimal sign vector under the ordering
 +1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
 search: it branches vertices in id order, +1 first, accepts ties with the
@@ -49,11 +49,9 @@ __all__ = [
     "evaluate",
     "greedy_upper",
     "solve_bruteforce",
-    "bruteforce_optima",
     "bruteforce_optima_both",
     "bnb_optima",
     "solve_bnb",
-    "solve",
     "result_record",
     "BRUTE_FORCE_CAP",
 ]
@@ -201,18 +199,18 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     return SignAssignment(tuple(signs))
 
 
-def _brute_force(graph: Graph, mode: Mode, cap: int, ks: range) -> dict[int, SolveResult]:
-    """Exact results for every k in ``ks`` from one pass over all 2^n
-    assignments.
+def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
+    """Exact optimum by enumerating all 2^n assignments.
 
-    For each exact satisfied count c >= min(ks) it records the least
-    weight and the first mask reaching it; the result for k is the least
-    (weight, mask) over c >= k, and its satisfied count is that c. A mask
-    is skipped, uncounted, when its weight is at least the current optimum
-    for max(ks): since optima never decrease in k, it cannot lower the
-    optimum for any k in ``ks``.
+    Refuses graphs with more than ``cap`` vertices (default 20) unless the
+    cap is raised explicitly. Masks are visited in ascending order, and a
+    mask is skipped, uncounted, when its weight is at least the current
+    optimum; the first mask of each lower weight that satisfies at least k
+    vertices is accepted. The witness is thus the lexicographically
+    smallest optimal sign vector.
     """
     n = graph.vertex_count
+    _check_k(n, k)
     if n > cap:
         raise ValueError(f"brute force capped at {cap} vertices (graph has {n}); raise cap to override")
     tau = mode.threshold
@@ -225,54 +223,20 @@ def _brute_force(graph: Graph, mode: Mode, cap: int, ks: range) -> dict[int, Sol
         )
         for v in range(n)
     ]
-    k_lo, k_hi = ks[0], ks[-1]
-    best_weight = [n + 1] * (n + 1)  # per exact count; n + 1: none yet
-    best_mask = [0] * (n + 1)
-    cutoff = n + 1  # current optimum for k_hi
+    optimum = n + 1  # none accepted yet
+    best_mask = best_count = 0
     for mask in range(1 << n):
         weight = n - 2 * mask.bit_count()
-        if weight >= cutoff:
+        if weight >= optimum:
             continue
         count = 0
         for cmask, most in closed:
             if (mask & cmask).bit_count() <= most:
                 count += 1
-        if count >= k_lo and weight < best_weight[count]:
-            best_weight[count] = weight
-            best_mask[count] = mask
-            if count >= k_hi:
-                cutoff = weight
-    results: dict[int, SolveResult] = {}
-    best = (n + 1, 0, n)  # (weight, mask, count), least over counts >= k
-    for k in range(n, k_lo - 1, -1):
-        best = min(best, (best_weight[k], best_mask[k], k))
-        if k in ks:
-            weight, mask, count = best
-            witness = SignAssignment(
-                tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
-            )
-            results[k] = SolveResult(weight, witness, count, SearchStats(nodes=1 << n))
-    return results
-
-
-def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> SolveResult:
-    """Exact optimum by enumerating all 2^n assignments.
-
-    Refuses graphs with more than ``cap`` vertices (default 20) unless the
-    cap is raised explicitly. The witness is the lexicographically
-    smallest optimal sign vector.
-    """
-    _check_k(graph.vertex_count, k)
-    return _brute_force(graph, mode, cap, range(k, k + 1))[k]
-
-
-def bruteforce_optima(graph: Graph, mode: Mode, cap: int = BRUTE_FORCE_CAP) -> dict[int, SolveResult]:
-    """:func:`solve_bruteforce` for every k in 1..n, keyed by k, from one
-    enumeration of the 2^n assignments."""
-    n = graph.vertex_count
-    if n < 1:
-        raise ValueError("solving requires a graph with n >= 1")
-    return _brute_force(graph, mode, cap, range(1, n + 1))
+        if count >= k:
+            optimum, best_mask, best_count = weight, mask, count
+    witness = SignAssignment(tuple(-1 if (best_mask >> (n - 1 - v)) & 1 else 1 for v in range(n)))
+    return SolveResult(optimum, witness, best_count, SearchStats(nodes=1 << n))
 
 
 def _add_bits(planes: list[int], bits: int) -> None:
@@ -301,8 +265,9 @@ def _counts_above(planes: list[int], c: int) -> int:
 
 
 def bruteforce_optima_both(graph: Graph) -> dict[Mode, dict[int, SolveResult]]:
-    """:func:`bruteforce_optima` in both modes, keyed by mode, from one
-    enumeration of the 2^n assignments, run on all of them at once.
+    """:func:`solve_bruteforce` for every k in 1..n and both modes, keyed
+    by mode and then k, from one enumeration of the 2^n assignments, run
+    on all of them at once.
 
     Bit m of an integer stands for mask m, whose bit n-1-v set means
     vertex v is -1, as in :func:`solve_bruteforce`; one integer operation
@@ -524,23 +489,6 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
             stats=SearchStats(nodes, prunes_w, prunes_s, prunes_r, prunes_lb),
         )
     return results
-
-
-def solve(
-    graph: Graph,
-    k: int,
-    mode: Mode,
-    algorithm: str = "bnb",
-    brute_cap: int = BRUTE_FORCE_CAP,
-) -> SolveResult:
-    """Dispatch to an exact engine: ``bnb`` (the default) runs
-    branch-and-bound, ``brute`` the exhaustive oracle, which refuses
-    graphs with more than ``brute_cap`` vertices."""
-    if algorithm == "bnb":
-        return solve_bnb(graph, k, mode)
-    if algorithm == "brute":
-        return solve_bruteforce(graph, k, mode, cap=brute_cap)
-    raise ValueError(f"algorithm must be 'bnb' or 'brute', got {algorithm!r}")
 
 
 def result_record(graph: Graph, k: int, mode: Mode, result: SolveResult) -> dict[str, object]:

@@ -397,7 +397,7 @@ def _graph_battery(
             )
 
     if "bound-dominance" in active:
-        reports = bounds_mod.bound_reports(graph, ks)
+        reports = bounds_mod.bound_reports(profile, connected, ks)
         for k in ks:
             report = reports[k]
             opt = exact[(Mode.NONNEG, k)].optimum

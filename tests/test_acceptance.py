@@ -24,7 +24,7 @@ from signdom import (
     gen_hajos,
     gen_sun,
     run_campaign,
-    solve,
+    solve_bnb,
 )
 
 
@@ -44,7 +44,7 @@ def default_campaign():
 def test_criterion_01_complete_graphs():
     start = time.monotonic()
     for n in range(1, 13):
-        result = solve(gen_complete(n), n, Mode.NONNEG)
+        result = solve_bnb(gen_complete(n), n, Mode.NONNEG)
         assert result.optimum == n % 2, f"K_{n}"
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"complete graphs took {elapsed:.2f}s"
@@ -56,8 +56,8 @@ def test_criterion_02_cycles():
     for n in range(3, 21):
         expected = exact_cycle_signed(n)
         g = gen_cycle(n)
-        assert solve(g, n, Mode.SIGNED).optimum == expected, f"C_{n} signed"
-        assert solve(g, n, Mode.NONNEG).optimum == expected, f"C_{n} nonneg"
+        assert solve_bnb(g, n, Mode.SIGNED).optimum == expected, f"C_{n} signed"
+        assert solve_bnb(g, n, Mode.NONNEG).optimum == expected, f"C_{n} nonneg"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"cycles took {elapsed:.2f}s"
     _report_pass(2, "cycles", f"{elapsed:.2f}s")
@@ -68,7 +68,7 @@ def test_criterion_03_sun_gadget():
     for t in range(2, 5):
         g = gen_sun(t)
         n = 4 * t
-        assert solve(g, n, Mode.NONNEG).optimum == 0, f"sun({t})"
+        assert solve_bnb(g, n, Mode.NONNEG).optimum == 0, f"sun({t})"
         rep = bound_report(g, n)
         assert rep["nn1"].raw == rep["nn2"].raw == rep["nn3"].raw == 0
         assert rep["prior_halfn"].raw == -4 * t
@@ -82,7 +82,7 @@ def test_criterion_03_sun_gadget():
 def test_criterion_04_hajos_graph():
     start = time.monotonic()
     g = gen_hajos()
-    assert solve(g, 6, Mode.NONNEG).optimum == 0
+    assert solve_bnb(g, 6, Mode.NONNEG).optimum == 0
     rep = bound_report(g, 6)
     assert rep["nn4"].raw == 0
     assert rep["nn5"].raw == 0

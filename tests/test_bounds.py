@@ -27,6 +27,7 @@ from signdom import (
     gen_hajos,
     gen_path,
     gen_sun,
+    is_connected,
     parity_lift,
 )
 
@@ -286,11 +287,12 @@ def test_bound_reports_match_per_k_reports():
     grid += [gen_cycle(6), gen_sun(2), gen_complete(5), gen_hajos(), gen_path(4)]
     for g in grid:
         n = g.vertex_count
-        reports = bound_reports(g, range(n, 0, -1))
+        reports = bound_reports(degree_profile(g), is_connected(g), range(n, 0, -1))
         assert list(reports) == list(range(1, n + 1))
         for k, report in reports.items():
             assert report == bound_report(g, k), k
-    assert bound_reports(gen_cycle(6), []) == {}
+    c6 = degree_profile(gen_cycle(6))
+    assert bound_reports(c6, True, []) == {}
     for bad in ([0], [3, 7]):
         with pytest.raises(ValueError, match="k must satisfy"):
-            bound_reports(gen_cycle(6), bad)
+            bound_reports(c6, True, bad)

@@ -10,11 +10,14 @@ from click.testing import CliRunner
 import signdom.bounds as bounds_mod
 import signdom.verify as verify_mod
 from signdom import (
+    Mode,
     exact_cycle_signed,
     gen_gnp,
     gen_sun,
     parse_dimacs,
     parse_edge_list,
+    result_record,
+    solve_bnb,
     to_dimacs,
     to_edge_list,
 )
@@ -80,6 +83,20 @@ def test_solve_cycle_signed(runner, tmp_path):
     invoke(runner, "gen", "cycle", "--n", "6", "-o", str(path))
     result = invoke(runner, "solve", str(path), "--k", "6", "--mode", "signed")
     assert json.loads(result.output)["optimum"] == 2
+
+
+def test_solve_algorithm_picks_the_engine(runner, tmp_path):
+    path = tmp_path / "c6.gr"
+    invoke(runner, "gen", "cycle", "--n", "6", "-o", str(path))
+    g = parse_edge_list(path.read_text())
+    bnb = json.loads(invoke(runner, "solve", str(path)).output)
+    assert bnb == result_record(g, 6, Mode.NONNEG, solve_bnb(g, 6, Mode.NONNEG))
+    brute = json.loads(invoke(runner, "solve", str(path), "--algorithm", "brute").output)
+    assert brute["stats.nodes"] == 64
+    assert (brute["optimum"], brute["witness"]) == (bnb["optimum"], bnb["witness"])
+    for algorithm in ("magic", "auto"):
+        result = runner.invoke(main, ["solve", str(path), "--algorithm", algorithm])
+        assert result.exit_code == 2
 
 
 def test_solve_defaults_k_to_n_and_text_format(runner, tmp_path):
@@ -187,6 +204,34 @@ def test_table_sun_sharpness(runner):
         assert cells["bound.nn1.raw"] == "0"
         assert cells["bound.nn2.raw"] == "0"
         assert cells["bound.nn3.raw"] == "0"
+
+
+def _table_rows(runner, *args):
+    header, *rows = invoke(runner, "table", *args, "--mode", "both").output.strip().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_table_leaves_inapplicable_bounds_empty(runner):
+    (row, _) = _table_rows(runner, "cycle", "--start", "9", "--end", "9", "--k-policy", "half")
+    assert row["k"] == "5"
+    for name in ("nn1", "nn2", "nn3"):
+        assert row[f"bound.{name}.raw"] == "", name
+    assert row["bound.ksub1.raw"] != "" and row["bound.regular.raw"] != ""
+
+
+@pytest.mark.parametrize("k_policy", ["full", "half", "one"])
+def test_table_raw_bounds_never_exceed_exact(runner, k_policy):
+    sweeps = [("cycle", 3, 12), ("path", 2, 12), ("complete", 1, 8), ("sun", 2, 3),
+              ("circulant", 5, 12)]
+    for family, start, end in sweeps:
+        rows = _table_rows(runner, family, "--start", str(start), "--end", str(end),
+                           "--k-policy", k_policy)
+        assert len(rows) == 2 * (end - start + 1)
+        for row in rows:
+            for name in bounds_mod.BOUND_NAMES:
+                raw = row[f"bound.{name}.raw"]
+                if raw:
+                    assert Fraction(raw) <= int(row["exact"]), (family, row["param"], row["mode"], name)
 
 
 def test_verify_small_ensemble_passes(runner, tmp_path):

@@ -15,7 +15,7 @@ from signdom import (
     gen_path,
     gen_sun,
     reference_table,
-    solve,
+    solve_bnb,
     solve_bruteforce,
     SignAssignment,
 )
@@ -64,8 +64,8 @@ def test_path_signed_formula():
 
 
 def test_paths_against_solver():
-    for n in range(2, 19):  # brute force up to 14, branch-and-bound above
-        assert solve(gen_path(n), n, Mode.SIGNED).optimum == exact_path_signed(n), n
+    for n in range(2, 19):
+        assert solve_bnb(gen_path(n), n, Mode.SIGNED).optimum == exact_path_signed(n), n
 
 
 def test_cycles_against_solver():
@@ -100,4 +100,4 @@ def test_reference_table_reproducible_and_parity():
         assert (rv.value - n) % 2 == 0  # full-domination weights share n's parity
         assert rv.provenance
         if n <= 12:
-            assert solve(g, n, rv.mode).optimum == rv.value, rv
+            assert solve_bnb(g, n, rv.mode).optimum == rv.value, rv

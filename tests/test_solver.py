@@ -9,7 +9,6 @@ from signdom import (
     SearchStats,
     SignAssignment,
     bnb_optima,
-    bruteforce_optima,
     bruteforce_optima_both,
     evaluate,
     exact_cycle_signed,
@@ -21,7 +20,6 @@ from signdom import (
     gen_sun,
     greedy_upper,
     result_record,
-    solve,
     solve_bnb,
     solve_bruteforce,
 )
@@ -166,11 +164,11 @@ def test_bnb_matches_bruteforce_on_seeded_gnp(n, p):
     ks = range(1, n + 1) if n == 12 else sorted({1, n // 2, n})
     for seed in range(3):
         g = gen_gnp(n, p, seed)
+        both = bruteforce_optima_both(g)
         for mode in (Mode.NONNEG, Mode.SIGNED):
-            optima = bruteforce_optima(g, mode)
             for k in ks:
                 bnb = solve_bnb(g, k, mode)
-                brute = optima[k]
+                brute = both[mode][k]
                 assert (bnb.optimum, bnb.witness) == (brute.optimum, brute.witness), (seed, k, mode)
                 assert bnb.satisfied_count == brute.satisfied_count
 
@@ -322,21 +320,12 @@ def test_greedy_is_maximal(g, data):
         assert evaluate(g, flipped, mode).satisfied_count < k
 
 
-# --- dispatcher and serialization ---
-
-
-def test_solve_auto_dispatch():
-    g = gen_cycle(6)
-    assert solve(g, 6, Mode.NONNEG) == solve_bnb(g, 6, Mode.NONNEG)
-    assert solve(g, 6, Mode.NONNEG, algorithm="brute").stats.nodes == 64
-    for algorithm in ("magic", "auto"):
-        with pytest.raises(ValueError):
-            solve(gen_cycle(4), 4, Mode.NONNEG, algorithm=algorithm)
+# --- serialization ---
 
 
 def test_result_record_fields():
     g = gen_hajos()
-    r = solve(g, 6, Mode.NONNEG)
+    r = solve_bnb(g, 6, Mode.NONNEG)
     record = result_record(g, 6, Mode.NONNEG, r)
     assert record["graph"] == g.canonical_id()
     assert record["optimum"] == 0
@@ -366,26 +355,11 @@ def test_engines_match_oracle(g, data):
     assert (opt - n) % 2 == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=7))
-def test_bruteforce_optima_match_oracle_at_every_k(g):
-    n = g.vertex_count
-    for mode in (Mode.NONNEG, Mode.SIGNED):
-        optima = bruteforce_optima(g, mode)
-        assert sorted(optima) == list(range(1, n + 1))
-        for k, r in optima.items():
-            assert (r.optimum, r.witness.values) == naive_minimum(g, k, mode)
-            assert r.satisfied_count == evaluate(g, r.witness, mode).satisfied_count >= k
-            assert r.stats.nodes == 1 << n
-        values = [optima[k].optimum for k in range(1, n + 1)]
-        assert values == sorted(values)
-
-
-def test_bruteforce_optima_rejects_empty_and_oversized_graphs():
+def test_bruteforce_rejects_empty_and_oversized_graphs():
     with pytest.raises(ValueError, match="n >= 1"):
-        bruteforce_optima(Graph.from_edges(0, []), Mode.NONNEG)
+        solve_bruteforce(Graph.from_edges(0, []), 1, Mode.NONNEG)
     with pytest.raises(ValueError, match="capped"):
-        bruteforce_optima(gen_cycle(8), Mode.SIGNED, cap=7)
+        solve_bruteforce(gen_cycle(8), 8, Mode.SIGNED, cap=7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,7 +374,8 @@ def test_bruteforce_optima_both_match_oracle_in_each_mode(g):
             assert (r.optimum, r.witness.values) == naive_minimum(g, k, mode)
             assert r.satisfied_count == evaluate(g, r.witness, mode).satisfied_count >= k
             assert r.stats.nodes == 1 << n
-        assert optima == bruteforce_optima(g, mode)
+        values = [optima[k].optimum for k in range(1, n + 1)]
+        assert values == sorted(values)
 
 
 @pytest.mark.parametrize(
@@ -417,9 +392,12 @@ def test_bruteforce_optima_both_match_oracle_in_each_mode(g):
     ],
 )
 def test_bruteforce_optima_both_match_one_mode_enumeration(g):
+    n = g.vertex_count
+    ks = range(1, n + 1) if n <= 13 else (1, (n + 1) // 2, n)
     both = bruteforce_optima_both(g)
     for mode in (Mode.NONNEG, Mode.SIGNED):
-        assert both[mode] == bruteforce_optima(g, mode)
+        for k in ks:
+            assert both[mode][k] == solve_bruteforce(g, k, mode), (k, mode)
 
 
 def test_bruteforce_optima_both_rejects_empty_and_oversized_graphs():
