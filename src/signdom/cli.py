@@ -30,6 +30,7 @@ from .graph import (
     Graph,
     GraphError,
     degree_profile,
+    is_connected,
     parse_dimacs,
     parse_edge_list,
     to_dimacs,
@@ -58,10 +59,18 @@ def _load_graph(path: str, order: int | None) -> Graph:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
+    """The one writer: ``text`` to the file ``output``, or to stdout."""
+    if not output:
         click.echo(text, nl=False)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as e:
+        raise click.UsageError(f"cannot write {output}: {e}")
+
+
+_output_option = click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
+                              help="Output file (default stdout).")
 
 
 def _reject_unread(names: set[str], reason: str) -> None:
@@ -78,12 +87,18 @@ def _reject_unread(names: set[str], reason: str) -> None:
         raise click.UsageError(f"{', '.join(given)} not read {reason}")
 
 
-def _records_to_csv(records: list[dict[str, object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
-    writer.writeheader()
-    writer.writerows(records)
-    return buf.getvalue()
+def _format(records: list[dict[str, object]], fmt: str) -> str:
+    """``records`` as JSON lines, as CSV with a header row, or (``text``)
+    as one ``key = value`` line per field."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]))
+        writer.writeheader()
+        writer.writerows(records)
+        return buf.getvalue()
+    return "".join(f"{key} = {value}\n" for r in records for key, value in r.items())
 
 
 @click.group()
@@ -112,7 +127,7 @@ def _readers(name: str) -> str:
 @click.option("--offsets", default="1", show_default=True, help="Comma-separated circulant offsets.")
 @click.option("--graph-format", type=click.Choice(["edgelist", "dimacs"]), default="edgelist",
               show_default=True, help="On-disk format.")
-@click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
+@_output_option
 def gen(family, graph_format, output, **given):
     """Generate a named graph family member."""
     build, reads = FAMILIES[family]
@@ -138,7 +153,7 @@ def gen(family, graph_format, output, **given):
               help="Vertex limit for --algorithm brute.")
 @click.option("--order", type=int, default=None, help="Vertex-count override for edge-list input.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "text"]), default="jsonl", show_default=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def solve_cmd(graph_file, k, mode, algorithm, brute_cap, order, fmt, output):
     """Solve one instance exactly; emits one record (JSON lines or text)."""
     if algorithm != "brute":
@@ -154,12 +169,7 @@ def solve_cmd(graph_file, k, mode, algorithm, brute_cap, order, fmt, output):
             result = solve_bnb(graph, k, mode)
     except ValueError as e:
         raise click.UsageError(str(e))
-    record = result_record(graph, k, mode, result)
-    if fmt == "text":
-        lines = [f"{key} = {value}" for key, value in record.items()]
-        _emit("\n".join(lines) + "\n", output)
-    else:
-        _emit(json.dumps(record, sort_keys=True) + "\n", output)
+    _emit(_format([result_record(graph, k, mode, result)], fmt), output)
 
 
 @main.command(name="bounds")
@@ -167,7 +177,7 @@ def solve_cmd(graph_file, k, mode, algorithm, brute_cap, order, fmt, output):
 @click.option("--k", type=int, default=None, help="Subdomination parameter (default: n).")
 @click.option("--order", type=int, default=None, help="Vertex-count override for edge-list input.")
 @click.option("--format", "fmt", type=click.Choice(["text", "jsonl", "csv"]), default="text", show_default=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def bounds_cmd(graph_file, k, order, fmt, output):
     """Print every named lower bound for one graph."""
     graph = _load_graph(graph_file, order)
@@ -177,10 +187,8 @@ def bounds_cmd(graph_file, k, order, fmt, output):
         report = bounds_mod.bound_report(graph, k)
     except ValueError as e:
         raise click.UsageError(str(e))
-    if fmt == "jsonl":
-        _emit(json.dumps(report.to_record(), sort_keys=True) + "\n", output)
-    elif fmt == "csv":
-        _emit(_records_to_csv([report.to_record()]), output)
+    if fmt != "text":
+        _emit(_format([report.to_record()], fmt), output)
     else:
         rows = [f"n={report.n} k={report.k} connected={report.connected}"]
         for name in bounds_mod.BOUND_NAMES:
@@ -194,7 +202,7 @@ def bounds_cmd(graph_file, k, order, fmt, output):
 
 @main.command()
 @click.option("--family", "families", multiple=True,
-              type=click.Choice(list(verify_mod.ALL_FAMILIES)),
+              type=click.Choice(list(FAMILIES)),
               help="Restrict the ensemble (repeatable; default: all families).")
 @click.option("--n-min", type=int, default=4, show_default=True, help="Smallest G(n,p) order.")
 @click.option("--n-max", type=int, default=9, show_default=True, help="Largest ensemble order.")
@@ -208,13 +216,13 @@ def bounds_cmd(graph_file, k, order, fmt, output):
 @click.option("--seed", type=int, default=0, show_default=True, help="Base seed of the G(n,p) draws.")
 @click.option("--workers", type=int, default=1, show_default=True, help="Parallel graph workers.")
 @click.option("--format", "fmt", type=click.Choice(["text", "jsonl"]), default="text", show_default=True)
-@click.option("-o", "--output", type=click.Path(), default=None, help="Write the JSON report here.")
+@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here.")
 def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, workers, fmt, output):
     """Run invariant checks over a reproducible ensemble; exit 1 on failure."""
     if families and "gnp" not in families:
         _reject_unread({"n_min", "p_values", "seeds", "seed"}, "without --family gnp")
     spec = verify_mod.EnsembleSpec(
-        families=tuple(families) or verify_mod.ALL_FAMILIES,
+        families=tuple(families) or tuple(FAMILIES),
         n_min=n_min,
         n_max=n_max,
         p_values=tuple(p_values) or (0.2, 0.5, 0.8),
@@ -232,7 +240,7 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
         raise click.UsageError(str(e))
     payload = report.to_dict()
     if output:
-        Path(output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
     if fmt == "jsonl":
         click.echo(json.dumps(payload, sort_keys=True))
     else:
@@ -253,7 +261,8 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
 
 
 @main.command()
-@click.argument("family", type=click.Choice(["complete", "cycle", "path", "sun", "circulant"]))
+@click.argument("family", type=click.Choice(  # swept by the first parameter; --offsets may fix the rest
+    [family for family, (_, reads) in FAMILIES.items() if reads and set(reads[1:]) <= {"offsets"}]))
 @click.option("--start", type=int, required=True, help="First n (or t for sun).")
 @click.option("--end", type=int, required=True, help="Last n (or t for sun), inclusive.")
 @click.option("--offsets", default="1,2", show_default=True, help="Circulant offsets.")
@@ -262,7 +271,7 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
 @click.option("--mode", "mode_name", type=click.Choice(["nonneg", "signed", "both"]),
               default="nonneg", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv", show_default=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
     """Sweep a family and tabulate exact values next to every bound."""
     build, (_, *fixed) = FAMILIES[family]  # the first parameter is the swept one
@@ -282,7 +291,7 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
         profile = degree_profile(graph)
         n = graph.vertex_count
         k = {"full": n, "half": math.ceil(n / 2), "one": 1}[k_policy]
-        report = bounds_mod.bound_report(graph, k)  # the bounds do not depend on mode
+        report = bounds_mod.bound_reports(profile, is_connected(graph), (k,))[k]  # mode-free
         raws = {  # a bound that does not apply at this k bounds nothing: leave it empty
             f"bound.{name}.raw": str(report[name].raw) if report[name].applicable else ""
             for name in bounds_mod.BOUND_NAMES
@@ -301,14 +310,11 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
                 "exact": solve_bnb(graph, k, mode).optimum,
                 **raws,
             })
-    if fmt == "jsonl":
-        _emit("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), output)
-    else:
-        _emit(_records_to_csv(records), output)
+    _emit(_format(records, fmt), output)
 
 
 @main.command()
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def refs(output):
     """Dump the table of known exact family values as CSV."""
     records = [
@@ -323,7 +329,7 @@ def refs(output):
         }
         for rv in reference_table()
     ]
-    _emit(_records_to_csv(records), output)
+    _emit(_format(records, "csv"), output)
 
 
 if __name__ == "__main__":

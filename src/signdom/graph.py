@@ -146,21 +146,6 @@ class DegreeProfile:
     n_e: int
     n_o: int
 
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "DegreeProfile":
-        degrees = sorted(graph.degree(v) for v in graph.vertices())
-        n = graph.vertex_count
-        n_e = sum(1 for d in degrees if d % 2 == 0)
-        return cls(
-            n=n,
-            m=sum(degrees) // 2,
-            delta=degrees[0] if degrees else 0,
-            Delta=degrees[-1] if degrees else 0,
-            degrees_sorted=tuple(degrees),
-            n_e=n_e,
-            n_o=n - n_e,
-        )
-
     @property
     def is_regular(self) -> bool:
         return self.n > 0 and self.delta == self.Delta
@@ -173,7 +158,18 @@ class DegreeProfile:
 
 
 def degree_profile(graph: Graph) -> DegreeProfile:
-    return DegreeProfile.from_graph(graph)
+    degrees = sorted(len(nbrs) for nbrs in graph.adjacency)
+    n = graph.vertex_count
+    n_e = sum(1 for d in degrees if d % 2 == 0)
+    return DegreeProfile(
+        n=n,
+        m=sum(degrees) // 2,
+        delta=degrees[0] if degrees else 0,
+        Delta=degrees[-1] if degrees else 0,
+        degrees_sorted=tuple(degrees),
+        n_e=n_e,
+        n_o=n - n_e,
+    )
 
 
 def is_connected(graph: Graph) -> bool:

@@ -43,7 +43,6 @@ from .solver import (
 )
 
 __all__ = [
-    "ALL_FAMILIES",
     "CHECK_NAMES",
     "MAX_COUNTEREXAMPLES",
     "EnsembleSpec",
@@ -53,8 +52,6 @@ __all__ = [
     "build_ensemble",
     "run_campaign",
 ]
-
-ALL_FAMILIES = tuple(FAMILIES)
 
 CHECK_NAMES = (
     "degree-identity",
@@ -75,6 +72,9 @@ _SOLVE_CHECKS = frozenset(CHECK_NAMES) - {"degree-identity", "ksub-reduction"}
 # enumeration, the oracle of the oracle-equivalence check.
 BRUTE_THRESHOLD = 14
 
+# A worker pool hands out graphs this many at a time.
+_CHUNK = 16
+
 # A report lists at most this many counterexamples per check; the failed
 # count covers them all.
 MAX_COUNTEREXAMPLES = 20
@@ -90,7 +90,7 @@ class EnsembleSpec:
     ``n_max`` only.
     """
 
-    families: tuple[str, ...] = ALL_FAMILIES
+    families: tuple[str, ...] = tuple(FAMILIES)
     n_min: int = 4
     n_max: int = 9
     p_values: tuple[float, ...] = (0.2, 0.5, 0.8)
@@ -98,21 +98,14 @@ class EnsembleSpec:
     base_seed: int = 0
 
     def describe(self) -> dict[str, object]:
-        return {
-            "families": list(self.families),
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "p_values": [repr(p) for p in self.p_values],
-            "seeds_per_cell": self.seeds_per_cell,
-            "base_seed": self.base_seed,
-        }
+        return dict(vars(self), families=list(self.families), p_values=list(map(repr, self.p_values)))
 
 
 def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
     """Deterministic (label, graph) list: named families first, then the
     connected G(n, p) draws ordered by (n, p, seed)."""
     for family in spec.families:
-        if family not in ALL_FAMILIES:
+        if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
     if spec.n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {spec.n_min}")
@@ -340,14 +333,14 @@ def _graph_battery(
     oracles = bruteforce_optima_both(graph) if n <= BRUTE_THRESHOLD else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
     exact: dict[tuple[Mode, int], SolveResult] = {}
-    evals: dict[tuple[Mode, int], tuple[SignAssignment, EvalResult]] = {}
+    evals: dict[tuple[Mode, int], EvalResult] = {}  # of exact's witness, evaluated once
     for mode in (Mode.NONNEG, Mode.SIGNED):
         oracle = oracles.get(mode, {})
         solved = bnb_optima(graph, mode, ks)
         for k in ks:
             bnb = solved[k]
             brute = oracle.get(k)
-            exact[(mode, k)] = brute if brute is not None else bnb
+            best = exact[(mode, k)] = brute if brute is not None else bnb
 
             if brute is not None:
                 tally.record(
@@ -366,23 +359,24 @@ def _graph_battery(
                     k=k,
                     mode=mode,
                 )
-            ev = evaluate(graph, bnb.witness, mode)
-            evals[(mode, k)] = (bnb.witness, ev)
+            ev = evals[(mode, k)] = evaluate(graph, best.witness, mode)
             tally.record(
                 "witness-validity",
-                ev.weight == bnb.optimum and ev.satisfied_count >= k,
+                ev.weight == best.optimum
+                and ev.satisfied_count == best.satisfied_count
+                and ev.satisfied_count >= k,
                 lambda: (
                     f"weight={ev.weight}, satisfied={ev.satisfied_count}",
-                    f"weight={bnb.optimum}, satisfied>={k}",
+                    f"weight={best.optimum}, satisfied={best.satisfied_count}>={k}",
                 ),
-                "witness evaluates to the reported optimum and feasibility",
+                "witness evaluates to the reported optimum, count and feasibility",
                 k=k,
                 mode=mode,
             )
             tally.record(
                 "parity",
-                (bnb.optimum - n) % 2 == 0,
-                lambda: (bnb.optimum, f"congruent to {n} mod 2"),
+                (best.optimum - n) % 2 == 0,
+                lambda: (best.optimum, f"congruent to {n} mod 2"),
                 "optimum weight parity",
                 k=k,
                 mode=mode,
@@ -430,10 +424,7 @@ def _graph_battery(
                 _degree_inequalities_full_domination(graph, profile, degrees, f, tally)
         for k in ks:
             f = exact[(Mode.NONNEG, k)].witness
-            checked, ev = evals[(Mode.NONNEG, k)]
-            if checked != f:  # the oracle's witness differs from bnb's
-                ev = evaluate(graph, f, Mode.NONNEG)
-            _degree_inequality_subdomination(degrees, f, ev, k, tally)
+            _degree_inequality_subdomination(degrees, f, evals[(Mode.NONNEG, k)], k, tally)
 
     if "monotonicity" in active:
         for mode in (Mode.NONNEG, Mode.SIGNED):
@@ -486,8 +477,9 @@ def run_campaign(
     of its k; graphs with at most ``BRUTE_THRESHOLD`` vertices are also
     solved by one exhaustive enumeration for both modes, the oracle of
     the oracle-equivalence check. ``workers`` > 1 distributes graphs
-    over a process pool; aggregation order is fixed by the ensemble order
-    either way.
+    over a process pool of at most one worker per 16-graph chunk, and a
+    single chunk runs in-process; aggregation order is fixed by the
+    ensemble order either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -505,13 +497,15 @@ def run_campaign(
     ]
 
     merged: dict[str, CheckResult] = {name: CheckResult(name) for name in sorted(active)}
+    # a worker beyond the number of chunks would start and get no work
+    workers = min(workers, -(-len(tasks) // _CHUNK))
     if workers > 1:
         # imported here: loading the pool machinery costs every
         # `import signdom` a third of its time, and only this branch needs it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_graph_battery, tasks, chunksize=16))
+            batches = list(pool.map(_graph_battery, tasks, chunksize=_CHUNK))
     else:
         batches = [_graph_battery(task) for task in tasks]
     for batch in batches:

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 from click.testing import CliRunner
 
 import signdom.bounds as bounds_mod
-import signdom.verify as verify_mod
 from signdom import (
     Mode,
     exact_cycle_signed,
@@ -439,7 +439,8 @@ def test_gen_options_are_the_family_parameters():
     options = {p.name for p in main.commands["gen"].params} - {"family", "graph_format", "output"}
     assert options == GEN_VALUES.keys()
     assert {name for _, reads in FAMILIES.values() for name in reads} == options
-    assert verify_mod.ALL_FAMILIES == tuple(FAMILIES)
+    (family,) = [p for p in main.commands["verify"].params if p.name == "families"]
+    assert list(family.type.choices) == list(FAMILIES)
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -508,12 +509,36 @@ def test_non_utf8_graph_file_is_usage_error(runner, tmp_path):
         assert f"cannot read {path}" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "cycle", "--n", "4"],
+        ["solve", GRAPH],
+        ["bounds", GRAPH],
+        ["table", "cycle", "--start", "3", "--end", "4"],
+        ["refs"],
+        ["verify", "--family", "cycle", "--n-max", "4"],
+    ],
+)
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_output_is_usage_error(runner, tmp_path, args, target):
+    output = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, [*_with_graph(args, tmp_path), "-o", str(output)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert str(output) in result.output
+    assert "Traceback" not in result.output
+
+
+def _readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_cli_rows() -> dict[str, set[str]]:
     """Each command's row of the README's CLI table, as the set of flags it names."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     rows = {}
-    for line in section.splitlines():
+    for line in _readme_cli_section().splitlines():
         match = re.match(r"\| `(\w+)[^`]*` \| (.*) \|$", line)
         if match:
             rows[match[1]] = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", match[2]))
@@ -528,3 +553,19 @@ def test_readme_cli_table_matches_the_options(command):
         assert row & set(option.opts), f"{command}: {option.opts[0]} missing from the README"
     spellings = {spelling for option in options for spelling in option.opts}
     assert row <= spellings, f"{command}: README names {sorted(row - spellings)}"
+
+
+def test_readme_cli_example_block_runs(runner, tmp_path):
+    """Every `signdom` line of the README's CLI example block exits 0; the
+    verify lines, which run whole campaigns, are only parsed."""
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [words[1:] for words in lines if words[:1] == ["signdom"]]
+    assert len(lines) >= 10
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for args in lines:
+            if args[0] == "verify":
+                main.commands["verify"].make_context("verify", args[1:])
+            else:
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, (args, result.output)

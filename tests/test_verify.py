@@ -106,12 +106,49 @@ def test_campaign_deterministic_up_to_timestamp():
 
 
 def test_campaign_parallel_matches_sequential():
-    spec = EnsembleSpec(families=("cycle",), n_max=6, seeds_per_cell=1)
+    spec = EnsembleSpec(families=("cycle", "path", "complete"), n_max=9)
+    assert len(build_ensemble(spec)) > 16  # more than one chunk, so a real pool runs
     a = run_campaign(spec, workers=1).to_dict()
     b = run_campaign(spec, workers=2).to_dict()
     a.pop("generated_at")
     b.pop("generated_at")
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "spec, workers, pool_size",
+    [
+        (EnsembleSpec(families=("cycle",), n_max=4), 6, None),  # 2 graphs: one chunk, no pool
+        (EnsembleSpec(families=("gnp",), n_max=5, p_values=(0.5, 0.8), seeds_per_cell=10), 6, 3),
+        (EnsembleSpec(families=("gnp",), n_max=5, p_values=(0.5, 0.8), seeds_per_cell=20), 2, 2),
+    ],
+)
+def test_worker_pool_is_capped_by_the_chunks(monkeypatch, spec, workers, pool_size):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:  # records its size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == 16
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    pooled = run_campaign(spec, workers=workers).to_dict()
+    assert sizes == ([] if pool_size is None else [pool_size])
+    sequential = run_campaign(spec, workers=1).to_dict()
+    pooled.pop("generated_at")
+    sequential.pop("generated_at")
+    assert pooled == sequential
 
 
 def test_import_loads_no_process_pool_or_hashlib():
@@ -197,6 +234,22 @@ def test_degree_inequalities_evaluate_the_oracle_witness(monkeypatch):
                 differ += 1
                 assert (graph, oracle, Mode.NONNEG) in evaluated
     assert differ > 0
+
+
+def test_witness_validity_checks_the_oracle_satisfied_count(monkeypatch):
+    real = verify_mod.bruteforce_optima_both
+
+    def miscounted(graph):  # every answer claims one satisfied vertex too many
+        return {
+            mode: {k: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1) for k, r in by_k.items()}
+            for mode, by_k in real(graph).items()
+        }
+
+    monkeypatch.setattr(verify_mod, "bruteforce_optima_both", miscounted)
+    report = run_campaign(EnsembleSpec(families=("cycle",), n_max=6), checks=("witness-validity",))
+    check = report.check("witness-validity")
+    assert check.passed == 0 and check.failed > 0
+    assert "satisfied=" in check.counterexamples[0].expected
 
 
 def test_counterexample_payload_fields(monkeypatch):
