@@ -229,6 +229,9 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
         seeds_per_cell=seeds,
         base_seed=seed,
     )
+    # a campaign may run long: refuse a path _emit cannot write before it starts
+    if output and not Path(output).parent.is_dir():
+        raise click.UsageError(f"cannot write {output}: no directory {Path(output).parent}")
     try:
         report = verify_mod.run_campaign(
             spec,

@@ -9,21 +9,23 @@ at least k vertices.
 Two independent engines compute it, each with one entry point for one k
 and one for many. Exhaustive enumeration is the oracle:
 :func:`solve_bruteforce` is a literal loop over the 2^n assignments for
-one k, and :func:`bruteforce_optima_both` answers every k in both modes
-from one enumeration, on all assignments at once in bit-sliced integer
-arithmetic: the optimum for k is the least weight over the assignments
-that satisfy at least k vertices. Depth-first branch-and-bound is
-:func:`solve_bnb` for one k; :func:`bnb_optima` builds the search state
+one k, and :func:`bruteforce_optima_both` answers the requested k in
+both modes from one enumeration, on all assignments at once in bit-sliced
+integer arithmetic: the optimum for k is the least weight over the
+assignments that satisfy at least k vertices. Depth-first branch-and-bound
+is :func:`solve_bnb` for one k; :func:`bnb_optima` builds the search state
 once per graph and mode and solves the requested k in ascending order: a
 search may stop at the previous optimum, since optima never decrease in
-k, and a previous witness that already satisfies k vertices answers k
-with no search. Both engines return the same canonical witness: the
-lexicographically smallest optimal sign vector under the ordering
-+1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
-search: it branches vertices in id order, +1 first, accepts ties with the
-greedy incumbent only until its first leaf, and prunes with a residual
-form of the double counting sum_v f(N[v]) = sum_u (d_u+1) f(u), counting
-the positives still needed by the k least demanding vertices. Its state
+k, or at 2c - n, where c is the k-th smallest number of positives a
+closed neighbourhood needs; a previous witness that already satisfies k
+vertices answers k with no search. Both engines return the same
+canonical witness: the lexicographically smallest optimal sign vector
+under the ordering +1 < -1, vertex 0 most significant. Branch-and-bound
+finds it in its one search: it branches vertices in id order, +1 first,
+accepts ties with the greedy incumbent only until its first leaf, and
+prunes with a residual form of the double counting
+sum_v f(N[v]) = sum_u (d_u+1) f(u), counting the positives still needed
+by the k least demanding vertices. Its state
 is two integers with one fixed-width field per vertex, so a branch is one
 subtraction and needs no undo; the fields are wide enough that no
 subtraction borrows from a neighbouring field.
@@ -95,12 +97,6 @@ class SignAssignment:
     @property
     def weight(self) -> int:
         return sum(self.values)
-
-    def positives(self) -> frozenset[int]:
-        return frozenset(v for v, x in enumerate(self.values) if x > 0)
-
-    def negatives(self) -> frozenset[int]:
-        return frozenset(v for v, x in enumerate(self.values) if x < 0)
 
 
 @dataclass(frozen=True)
@@ -264,10 +260,10 @@ def _counts_above(planes: list[int], c: int) -> int:
     return above
 
 
-def bruteforce_optima_both(graph: Graph) -> dict[Mode, dict[int, SolveResult]]:
-    """:func:`solve_bruteforce` for every k in 1..n and both modes, keyed
-    by mode and then k, from one enumeration of the 2^n assignments, run
-    on all of them at once.
+def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[int, SolveResult]]:
+    """:func:`solve_bruteforce` for every k in ``ks`` and both modes, keyed
+    by mode and then k in ascending order, from one enumeration of the 2^n
+    assignments, run on all of them at once.
 
     Bit m of an integer stands for mask m, whose bit n-1-v set means
     vertex v is -1, as in :func:`solve_bruteforce`; one integer operation
@@ -276,11 +272,15 @@ def bruteforce_optima_both(graph: Graph) -> dict[Mode, dict[int, SolveResult]]:
     counted once and compared with the threshold of each mode, and the
     satisfied vertices are counted per mode. The optimum for k is set by
     the most negatives among the masks that satisfy at least k vertices,
-    and the lowest such mask is the canonical witness. A k that the
-    witness for k - 1 already satisfies keeps that result. Refuses graphs
-    with more than ``BRUTE_FORCE_CAP`` vertices.
+    and the lowest such mask is the canonical witness; only the ks asked
+    for pay for that extraction. A k that the witness for the last k
+    answered already satisfies keeps that result. Refuses graphs with more
+    than ``BRUTE_FORCE_CAP`` vertices.
     """
     n = graph.vertex_count
+    ks = sorted(set(ks))
+    for k in ks:
+        _check_k(n, k)
     if n < 1:
         raise ValueError("solving requires a graph with n >= 1")
     if n > BRUTE_FORCE_CAP:
@@ -310,7 +310,7 @@ def bruteforce_optima_both(graph: Graph) -> dict[Mode, dict[int, SolveResult]]:
         results[mode] = {}
         j = n  # optima never decrease in k, so j only falls
         result: SolveResult | None = None
-        for k in range(1, n + 1):
+        for k in ks:
             if result is None or result.satisfied_count < k:
                 enough = _counts_above(planes, k - 1)
                 while not enough & at_least[j]:
@@ -337,8 +337,11 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     order, from one build of the search state per graph and mode.
 
     The k are solved in ascending order, each after the last one solved,
-    k' < k. The optimum never decreases in k, so the search for k stops
-    once it accepts a leaf of weight max(root bound, optimum for k').
+    k' < k. The search for k stops once it accepts a leaf of weight
+    max(root bound, 2c - n, optimum for k'). The optimum never decreases
+    in k, and c is the k-th smallest ceil((d_v+1+tau)/2): one of the k or
+    more satisfied vertices needs at least c positives in N[v], so c
+    positives at least. At k = 1 this is the optimum itself.
     When the witness for k' satisfies at least k vertices, it is the
     optimum and the canonical witness for k as well: every assignment
     feasible for k is feasible for k'. Such a k is answered without a
@@ -402,6 +405,7 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     top = one * big  # bit big of every field
     nb = [f + sum(map(field.__getitem__, nbrs)) for f, nbrs in zip(field, adj)]  # packed N[v]
     lacks = [(s + tau + 1) // 2 for s in size]
+    ranked = sorted(lacks)
     # room0: negatives N[v] may still take; short0: positives N[v] still lacks
     room0 = top + sum([f * ((s - tau) // 2) for f, s in zip(field, size)])
     short0 = top + sum(map(mul, field, lacks))
@@ -470,7 +474,14 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
             results[k] = SolveResult(last.optimum, last.witness, last.satisfied_count, SearchStats())
             continue
         cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
-        floor = -n if last is None else last.optimum  # no weight is below -n
+        # Some satisfied vertex lacks at least the k-th smallest demand, so
+        # the optimum is at least 2 * ranked[k - 1] - n. It sets only the
+        # stop weight, so the search visits the same nodes as without it
+        # until the stop fires. Pruning with it at every node would cut
+        # far more nodes but change every search (ROADMAP item 5).
+        floor = 2 * ranked[k - 1] - n
+        if last is not None:
+            floor = max(floor, last.optimum)
         root_lb: int | None = None  # the stop weight, set on the root's visit
         witness: tuple[int, ...] | None = None
         stop = False

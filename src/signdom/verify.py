@@ -251,11 +251,11 @@ def _degree_inequalities_full_domination(
     """Degree inequalities that every fully-satisfying nonneg assignment on
     a connected graph must obey."""
     n = graph.vertex_count
-    pos = f.positives()
-    neg = f.negatives()
+    vals = f.values
+    pos = [v for v, x in enumerate(vals) if x > 0]
     deg = degrees.__getitem__
-    lhs1 = sum(deg(v) for v in pos)
-    rhs1 = n + profile.n_e - 2 * len(pos) + sum(deg(v) for v in neg)
+    lhs1 = sum(map(deg, pos))
+    rhs1 = n + profile.n_e - 2 * len(pos) + 2 * profile.m - lhs1  # M-degrees: 2m less P-degrees
     tally.record(
         "degree-inequalities",
         lhs1 >= rhs1,
@@ -264,7 +264,9 @@ def _degree_inequalities_full_domination(
         k=n,
         mode=Mode.NONNEG,
     )
-    lhs2 = sum(len(graph.adjacency[v] & pos) for v in pos)
+    # a positive v with neighbour sum s has (d_v + s) / 2 positive neighbours
+    value = vals.__getitem__
+    lhs2 = sum((deg(v) + sum(map(value, graph.adjacency[v]))) // 2 for v in pos)
     rhs2 = sum(deg(v) // 2 for v in pos)  # ceil((d-1)/2) == d//2
     tally.record(
         "degree-inequalities",
@@ -282,10 +284,9 @@ def _degree_inequality_subdomination(
     """Degree inequality every optimal nonneg k-subdominating assignment
     must obey, in terms of the satisfied positive/negative split; ``ev``
     is the nonneg evaluation of ``f``."""
-    pos = f.positives()
     deg = degrees.__getitem__
-    lhs = sum(deg(v) for v in pos) + len(ev.p1)
-    rhs = sum((deg(v) + 2) // 2 for v in ev.p1 | ev.m1)
+    lhs = sum([d for d, x in zip(degrees, f.values) if x > 0]) + len(ev.p1)
+    rhs = sum([(deg(v) + 2) // 2 for v in ev.satisfied])
     tally.record(
         "degree-inequalities",
         lhs >= rhs,
@@ -330,7 +331,7 @@ def _graph_battery(
     if not (_SOLVE_CHECKS & active):
         return sorted(tally.results.values(), key=lambda r: r.name)
 
-    oracles = bruteforce_optima_both(graph) if n <= BRUTE_THRESHOLD else {}
+    oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_THRESHOLD else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
     exact: dict[tuple[Mode, int], SolveResult] = {}
     evals: dict[tuple[Mode, int], EvalResult] = {}  # of exact's witness, evaluated once
@@ -399,10 +400,11 @@ def _graph_battery(
                 b = report[name]
                 if not b.applicable:
                     continue
+                raw = b.raw
                 tally.record(
                     "bound-dominance",
-                    b.raw <= opt,
-                    lambda: (opt, f">= {b.raw}"),
+                    raw.numerator <= opt * raw.denominator,  # raw <= opt, without Fraction.__le__
+                    lambda: (opt, f">= {raw}"),
                     f"exact optimum vs {name} raw",
                     k=k,
                     mode=Mode.NONNEG,

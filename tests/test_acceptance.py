@@ -16,6 +16,7 @@ import pytest
 from signdom import (
     Mode,
     bound_report,
+    bnb_optima,
     build_ensemble,
     EnsembleSpec,
     exact_cycle_signed,
@@ -26,6 +27,7 @@ from signdom import (
     run_campaign,
     solve_bnb,
 )
+from signdom.verify import _k_values
 
 
 def _report_pass(number: int, name: str, detail: str = "") -> None:
@@ -167,6 +169,18 @@ def test_default_campaign_counts_are_pinned(default_campaign):
     assert {c.name: c.passed for c in report.checks} == DEFAULT_CAMPAIGN_PASSED
     assert all(c.failed == 0 for c in report.checks)
     assert report.checks_recorded == sum(DEFAULT_CAMPAIGN_PASSED.values())
+
+
+def test_default_campaign_search_nodes_are_pinned():
+    # The battery's searches, one bnb_optima call per graph and mode. The
+    # stop at the k-th smallest demand saves a third of them: without it
+    # the total is 126,563 (47,840 of them at k = 1).
+    total = 0
+    for _, graph in build_ensemble(EnsembleSpec()):
+        ks = _k_values(graph.vertex_count, "default")
+        for mode in Mode:
+            total += sum(r.stats.nodes for r in bnb_optima(graph, mode, ks).values())
+    assert total == 81_091
 
 
 def test_criterion_10_determinism(default_campaign):

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import signdom.bounds as bounds_mod
+import signdom.verify as verify_mod
 from signdom import (
     Mode,
     exact_cycle_signed,
@@ -528,6 +529,18 @@ def test_unwritable_output_is_usage_error(runner, tmp_path, args, target):
     assert isinstance(result.exception, SystemExit)
     assert str(output) in result.output
     assert "Traceback" not in result.output
+
+
+def test_verify_refuses_a_missing_output_directory_before_the_campaign(runner, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_campaign called")
+
+    monkeypatch.setattr(verify_mod, "run_campaign", refuse)
+    output = tmp_path / "missing" / "report.json"
+    result = runner.invoke(main, ["verify", "--family", "cycle", "--n-max", "4", "-o", str(output)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"cannot write {output}" in result.output
 
 
 def _readme_cli_section() -> str:

@@ -39,8 +39,6 @@ def test_mode_thresholds():
 def test_sign_assignment_basics():
     f = SignAssignment((1, -1, 1))
     assert f.weight == 1
-    assert f.positives() == frozenset({0, 2})
-    assert f.negatives() == frozenset({1})
     assert f.to_string() == "+-+"
     assert SignAssignment.from_string("+-+") == f
     assert SignAssignment.all_plus(3).weight == 3
@@ -164,7 +162,7 @@ def test_bnb_matches_bruteforce_on_seeded_gnp(n, p):
     ks = range(1, n + 1) if n == 12 else sorted({1, n // 2, n})
     for seed in range(3):
         g = gen_gnp(n, p, seed)
-        both = bruteforce_optima_both(g)
+        both = bruteforce_optima_both(g, ks)
         for mode in (Mode.NONNEG, Mode.SIGNED):
             for k in ks:
                 bnb = solve_bnb(g, k, mode)
@@ -200,7 +198,9 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
 
 # (nodes, prunes_weight, prunes_satisfiability, prunes_residual,
 # prunes_global_lb), recorded from the list-based search state that the
-# packed one replaced: the search must stay the same node for node.
+# packed one replaced: the search must stay the same node for node. The
+# k = 1 rows were recorded with the stop at the k-th smallest demand, whose
+# witnesses and optima equal solve_bruteforce's.
 @pytest.mark.parametrize(
     "g, k, mode, counters",
     [
@@ -213,11 +213,34 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
         pytest.param(gen_gnp(16, 0.5, 0), 8, Mode.SIGNED, (5533, 1, 918, 1846, 0), id="gnp16s0-signed"),
         pytest.param(gen_gnp(16, 0.5, 1), 8, Mode.NONNEG, (3933, 1, 564, 1400, 0), id="gnp16s1-nonneg"),
         pytest.param(gen_gnp(16, 0.5, 1), 8, Mode.SIGNED, (4473, 1, 738, 1496, 0), id="gnp16s1-signed"),
+        pytest.param(gen_sun(4), 1, Mode.NONNEG, (31, 13, 0, 0, 1), id="sun4-k1-nonneg"),
+        pytest.param(gen_sun(4), 1, Mode.SIGNED, (31, 13, 0, 0, 1), id="sun4-k1-signed"),
+        pytest.param(gen_cycle(46), 1, Mode.SIGNED, (91, 43, 0, 0, 1), id="C46-k1-signed"),
+        pytest.param(gen_complete(9), 1, Mode.NONNEG, (14, 3, 0, 0, 1), id="K9-k1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.NONNEG, (230, 9, 14, 89, 1), id="gnp16s0-k1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.SIGNED, (941, 4, 91, 372, 1), id="gnp16s0-k1-signed"),
+        pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.NONNEG, (244, 16, 13, 88, 1), id="gnp16s1-k1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.SIGNED, (258, 24, 13, 85, 1), id="gnp16s1-k1-signed"),
     ],
 )
 def test_bnb_search_counters_pinned(g, k, mode, counters):
     s = solve_bnb(g, k, mode).stats
     assert (s.nodes, s.prunes_weight, s.prunes_satisfiability, s.prunes_residual, s.prunes_global_lb) == counters
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kth_demand_bound_is_below_every_optimum_and_sharp_at_k1(n):
+    # A satisfied vertex needs ceil((d_v + 1 + tau) / 2) positives, and one
+    # of k satisfied vertices needs at least the k-th smallest of these.
+    for p in (0.2, 0.5, 0.8):
+        for seed in range(3):
+            g = gen_gnp(n, p, seed)
+            both = bruteforce_optima_both(g, range(1, n + 1))
+            for mode in Mode:
+                demands = sorted((g.degree(v) + 2 + mode.threshold) // 2 for v in g.vertices())
+                for k, r in both[mode].items():
+                    assert 2 * demands[k - 1] - n <= r.optimum, (p, seed, k, mode)
+                assert 2 * demands[0] - n == both[mode][1].optimum, (p, seed, mode)
 
 
 _BNB_OPTIMA_GRAPHS = [
@@ -315,7 +338,7 @@ def test_greedy_is_maximal(g, data):
     k = data.draw(st.integers(1, g.vertex_count))
     mode = data.draw(st.sampled_from((Mode.NONNEG, Mode.SIGNED)))
     f = greedy_upper(g, k, mode)
-    for v in f.positives():
+    for v in (u for u, x in enumerate(f.values) if x > 0):
         flipped = SignAssignment(tuple(-1 if u == v else x for u, x in enumerate(f.values)))
         assert evaluate(g, flipped, mode).satisfied_count < k
 
@@ -366,7 +389,7 @@ def test_bruteforce_rejects_empty_and_oversized_graphs():
 @given(graphs(max_n=7))
 def test_bruteforce_optima_both_match_oracle_in_each_mode(g):
     n = g.vertex_count
-    both = bruteforce_optima_both(g)
+    both = bruteforce_optima_both(g, range(1, n + 1))
     assert list(both) == [Mode.NONNEG, Mode.SIGNED]
     for mode, optima in both.items():
         assert sorted(optima) == list(range(1, n + 1))
@@ -394,17 +417,33 @@ def test_bruteforce_optima_both_match_oracle_in_each_mode(g):
 def test_bruteforce_optima_both_match_one_mode_enumeration(g):
     n = g.vertex_count
     ks = range(1, n + 1) if n <= 13 else (1, (n + 1) // 2, n)
-    both = bruteforce_optima_both(g)
+    both = bruteforce_optima_both(g, ks)
     for mode in (Mode.NONNEG, Mode.SIGNED):
         for k in ks:
             assert both[mode][k] == solve_bruteforce(g, k, mode), (k, mode)
 
 
+@pytest.mark.parametrize("n", [1, 5, 9, 12])
+def test_bruteforce_optima_both_answers_the_ks_asked(n):
+    subsets = ([1], [n], [n, 1, n], sorted({1, (n + 1) // 2, n}), range(2, n + 1, 3))
+    for seed in range(3):
+        g = gen_gnp(n, 0.5, seed)
+        every = bruteforce_optima_both(g, range(1, n + 1))
+        for ks in subsets:
+            some = bruteforce_optima_both(g, ks)
+            for mode in Mode:
+                # optimum, witness, satisfied_count and stats alike
+                assert some[mode] == {k: every[mode][k] for k in sorted(set(ks))}, (seed, ks, mode)
+    for bad in ([0, 1], [1, n + 1]):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            bruteforce_optima_both(g, bad)
+
+
 def test_bruteforce_optima_both_rejects_empty_and_oversized_graphs():
     with pytest.raises(ValueError, match="n >= 1"):
-        bruteforce_optima_both(Graph.from_edges(0, []))
+        bruteforce_optima_both(Graph.from_edges(0, []), [])
     with pytest.raises(ValueError, match="capped"):
-        bruteforce_optima_both(gen_cycle(BRUTE_FORCE_CAP + 1))
+        bruteforce_optima_both(gen_cycle(BRUTE_FORCE_CAP + 1), [1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,7 +480,8 @@ def test_eval_structure(g, data):
     values = data.draw(sign_vectors(n))
     f = SignAssignment(values)
     ev = evaluate(g, f, Mode.NONNEG)
-    assert ev.weight == 2 * len(f.positives()) - n
+    pos = {v for v, x in enumerate(values) if x > 0}
+    assert ev.weight == 2 * len(pos) - n
     # closed sums have the parity of |N[v]| = deg(v) + 1
     for v in g.vertices():
         assert (ev.closed_sums[v] - g.degree(v) - 1) % 2 == 0
@@ -450,7 +490,6 @@ def test_eval_structure(g, data):
             assert ev.closed_sums[v] >= 1
     # |E(P,M)| counted edge by edge agrees with the count read off the
     # closed sums: a positive v has (d_v + 1 - closed sum) / 2 negative neighbours
-    pos = f.positives()
     assert sum((g.degree(v) + 1 - ev.closed_sums[v]) // 2 for v in pos) == sum(
         1 for u, v in g.edges() if (u in pos) != (v in pos)
     )

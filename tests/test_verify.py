@@ -192,6 +192,23 @@ def test_injected_mutant_is_caught_and_replayable(monkeypatch):
     assert f">= {replayed['nn3'].raw}" == ce.expected
 
 
+@pytest.mark.parametrize("excess", [Fraction(0), Fraction(1, 2)])
+def test_bound_dominance_is_exact_at_the_optimum(monkeypatch, excess):
+    # on K_n the nonneg optimum at k = n is n mod 2
+    monkeypatch.setattr(bounds_mod, "bound_nn_3", lambda p: Fraction(p.n % 2) + excess)
+    spec = EnsembleSpec(families=("complete",), n_max=5)
+    check = run_campaign(spec, checks=("bound-dominance",)).check("bound-dominance")
+    if not excess:
+        assert check.failed == 0 and check.passed > 0
+        return
+    raw = [ce for ce in check.counterexamples if ce.detail == "exact optimum vs nn3 raw"]
+    assert len(raw) == 5
+    for ce in raw:
+        n = parse_dimacs(ce.graph_dimacs).vertex_count
+        assert (ce.k, ce.mode) == (n, "nonneg")
+        assert (ce.observed, ce.expected) == (str(n % 2), f">= {Fraction(n % 2) + excess}")
+
+
 def _last_optimal_witness(graph, k, mode, optimum):
     """The lexicographically largest feasible sign vector of weight optimum."""
     for values in itertools.product((-1, 1), repeat=graph.vertex_count):
@@ -239,10 +256,10 @@ def test_degree_inequalities_evaluate_the_oracle_witness(monkeypatch):
 def test_witness_validity_checks_the_oracle_satisfied_count(monkeypatch):
     real = verify_mod.bruteforce_optima_both
 
-    def miscounted(graph):  # every answer claims one satisfied vertex too many
+    def miscounted(graph, ks):  # every answer claims one satisfied vertex too many
         return {
             mode: {k: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1) for k, r in by_k.items()}
-            for mode, by_k in real(graph).items()
+            for mode, by_k in real(graph, ks).items()
         }
 
     monkeypatch.setattr(verify_mod, "bruteforce_optima_both", miscounted)
