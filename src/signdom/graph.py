@@ -116,9 +116,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.adjacency[v] | {v}
 

@@ -15,20 +15,22 @@ integer arithmetic: the optimum for k is the least weight over the
 assignments that satisfy at least k vertices. Depth-first branch-and-bound
 is :func:`solve_bnb` for one k; :func:`bnb_optima` builds the search state
 once per graph and mode and solves the requested k in ascending order: a
-search may stop at the previous optimum, since optima never decrease in
-k, or at 2c - n, where c is the k-th smallest number of positives a
-closed neighbourhood needs; a previous witness that already satisfies k
-vertices answers k with no search. Both engines return the same
-canonical witness: the lexicographically smallest optimal sign vector
-under the ordering +1 < -1, vertex 0 most significant. Branch-and-bound
-finds it in its one search: it branches vertices in id order, +1 first,
+search may stop at its residual bound at the root, at the previous
+optimum, since optima never decrease in k, or at 2c - n, where c is the
+k-th smallest number of positives a closed neighbourhood needs; a
+previous witness that already satisfies k vertices answers k with no
+search. Both engines return the same canonical witness: the
+lexicographically smallest optimal sign vector under the ordering
++1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
+search: it branches vertices in id order, +1 first,
 accepts ties with the greedy incumbent only until its first leaf, and
 prunes with a residual form of the double counting
 sum_v f(N[v]) = sum_u (d_u+1) f(u), counting the positives still needed
 by the k least demanding vertices. Its state
 is two integers with one fixed-width field per vertex, so a branch is one
 subtraction and needs no undo; the fields are wide enough that no
-subtraction borrows from a neighbouring field.
+subtraction borrows from a neighbouring field. It keeps its nodes on an
+explicit stack, so no recursion limit bounds n.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ class SignAssignment:
     def all_plus(cls, n: int) -> "SignAssignment":
         return cls((1,) * n)
 
-    @classmethod
-    def from_string(cls, text: str) -> "SignAssignment":
-        return cls(tuple(1 if ch == "+" else -1 for ch in text))
-
     def to_string(self) -> str:
         return "".join("+" if x > 0 else "-" for x in self.values)
 
@@ -101,16 +99,12 @@ class SignAssignment:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Assignment evaluation: per-vertex closed-neighborhood sums, the
-    satisfied set and its split by sign (p1 = positives satisfied,
-    m1 = negatives satisfied)."""
+    """Assignment evaluation: weight, per-vertex closed-neighborhood sums
+    and the number of vertices whose sum clears the mode's threshold."""
 
     weight: int
     closed_sums: tuple[int, ...]
-    satisfied: frozenset[int]
     satisfied_count: int
-    p1: frozenset[int]
-    m1: frozenset[int]
 
 
 def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
@@ -121,15 +115,7 @@ def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
     value = vals.__getitem__
     sums = tuple([x + sum(map(value, nbrs)) for x, nbrs in zip(vals, graph.adjacency)])
     tau = mode.threshold
-    satisfied = [v for v, s in enumerate(sums) if s >= tau]
-    return EvalResult(
-        weight=sum(vals),
-        closed_sums=sums,
-        satisfied=frozenset(satisfied),
-        satisfied_count=len(satisfied),
-        p1=frozenset([v for v in satisfied if vals[v] > 0]),
-        m1=frozenset([v for v in satisfied if vals[v] < 0]),
-    )
+    return EvalResult(sum(vals), sums, sum([s >= tau for s in sums]))
 
 
 @dataclass(frozen=True)
@@ -337,24 +323,29 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     order, from one build of the search state per graph and mode.
 
     The k are solved in ascending order, each after the last one solved,
-    k' < k. The search for k stops once it accepts a leaf of weight
-    max(root bound, 2c - n, optimum for k'). The optimum never decreases
-    in k, and c is the k-th smallest ceil((d_v+1+tau)/2): one of the k or
-    more satisfied vertices needs at least c positives in N[v], so c
-    positives at least. At k = 1 this is the optimum itself.
+    k' < k. The search for k stops once it accepts a leaf of the stop
+    weight max(2p - n, 2c - n, optimum for k'), computed before the search.
+    Here 2p - n is the residual bound below taken at the root, where every
+    vertex is satisfiable and D is the sum of the k smallest demands. The optimum
+    never decreases in k, and c is the k-th smallest ceil((d_v+1+tau)/2):
+    one of the k or more satisfied vertices needs at least c positives in
+    N[v], so c positives at least. At k = 1 this is the optimum itself.
     When the witness for k' satisfies at least k vertices, it is the
     optimum and the canonical witness for k as well: every assignment
     feasible for k is feasible for k'. Such a k is answered without a
     search, with ``SearchStats()`` (0 nodes). A single k is searched as
     below, node for node.
 
-    Vertices are branched in id order, +1 before -1, so leaves are met in
-    lexicographic order. The incumbent starts at the weight of
-    :func:`greedy_upper` with no witness attached. Until the first leaf is
-    accepted, a feasible leaf is accepted when its weight is at most the
-    incumbent; after that, only when it is strictly lower. The first
-    optimal leaf accepted is thus the lexicographically smallest one, and
-    no later leaf replaces it.
+    Vertices are branched in id order. A node on the explicit stack is
+    (v, weight, room, short, neg), neg the bitmask of the -1 vertices; the
+    -1 child is pushed before the +1 child, so the +1 child is searched
+    first and leaves are met in lexicographic order. Nothing bounds the
+    depth but memory: the ``prefix`` table takes O(n^2). The incumbent
+    starts at the weight of :func:`greedy_upper` with no witness attached.
+    Until the first leaf is accepted, a feasible leaf is accepted when its
+    weight is at most the incumbent; after that, only when it is strictly
+    lower. The first optimal leaf accepted is thus the lexicographically
+    smallest one, and no later leaf replaces it.
 
     Pruning uses the double counting sum_v f(N[v]) = sum_u (d_u+1) f(u)
     behind the paper's bounds, applied to the unassigned vertices U of a
@@ -385,9 +376,8 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     leaf below it can be accepted: all remaining -1 is still too heavy
     (``prunes_weight``), fewer than k vertices stay satisfiable
     (``prunes_satisfiability``), or the residual bound is too high
-    (``prunes_residual``). The bound at the root is a lower bound on the
-    optimum, and the search stops once a leaf of that weight is accepted
-    (``prunes_global_lb``).
+    (``prunes_residual``). The search stops once a leaf of the stop weight
+    is accepted (``prunes_global_lb``).
     """
     n = graph.vertex_count
     ks = sorted(set(ks))
@@ -419,54 +409,6 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
         insort(rest, size[depth])
         prefix[depth] = list(accumulate(reversed(rest), initial=0))
 
-    signs = [0] * n
-
-    def dfs(v: int, weight: int, room: int, short: int) -> None:
-        nonlocal cutoff, root_lb, witness, stop
-        nonlocal nodes, prunes_w, prunes_s, prunes_r, prunes_lb
-        nodes += 1
-        live = room & top
-        alive = live.bit_count()
-        if alive < k:
-            prunes_s += 1
-            return
-        if v == n:
-            if weight < cutoff:
-                cutoff = weight  # from now on only strictly lower leaves
-                witness = tuple(signs)
-                if weight == root_lb:
-                    stop = True
-                    prunes_lb += 1
-            return
-        if weight - (n - v) >= cutoff:
-            prunes_w += 1
-            return
-        spare = alive - k  # satisfiable vertices the k smallest demands leave out
-        live <<= 1
-        demand = 0
-        for add in adds:
-            over = ((short + add) & live).bit_count()
-            if over <= spare:
-                break
-            demand += over - spare
-        cover = prefix[v]
-        p = bisect_left(cover, demand)
-        if p == len(cover):  # the unassigned vertices cannot meet the demand
-            prunes_r += 1
-            return
-        bound = weight - (n - v) + 2 * p
-        if not v:
-            root_lb = max(bound, floor)
-        if bound >= cutoff:
-            prunes_r += 1
-            return
-        signs[v] = 1
-        dfs(v + 1, weight + 1, room, short - nb[v])
-        if stop:
-            return
-        signs[v] = -1
-        dfs(v + 1, weight - 1, room - nb[v], short)
-
     results: dict[int, SolveResult] = {}
     last: SolveResult | None = None
     for k in ks:
@@ -474,22 +416,57 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
             results[k] = SolveResult(last.optimum, last.witness, last.satisfied_count, SearchStats())
             continue
         cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
-        # Some satisfied vertex lacks at least the k-th smallest demand, so
-        # the optimum is at least 2 * ranked[k - 1] - n. It sets only the
-        # stop weight, so the search visits the same nodes as without it
-        # until the stop fires. Pruning with it at every node would cut
-        # far more nodes but change every search (ROADMAP item 5).
-        floor = 2 * ranked[k - 1] - n
+        # The stop weight: the residual bound at the root, where every
+        # vertex is satisfiable and D is the sum of the k smallest demands,
+        # and 2 * ranked[k - 1] - n, since some satisfied vertex lacks at
+        # least the k-th smallest demand. It only ends the search, so the
+        # search visits the same nodes as without it until the stop fires.
+        # Pruning with it at every node would cut far more nodes but change
+        # every search (ROADMAP item 5).
+        stop = max(2 * bisect_left(prefix[0], sum(ranked[:k])) - n, 2 * ranked[k - 1] - n)
         if last is not None:
-            floor = max(floor, last.optimum)
-        root_lb: int | None = None  # the stop weight, set on the root's visit
-        witness: tuple[int, ...] | None = None
-        stop = False
+            stop = max(stop, last.optimum)
+        witness: int | None = None  # bitmask of the -1 vertices of the accepted leaf
         nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
-        dfs(0, 0, room0, short0)
+        stack = [(0, 0, room0, short0, 0)]
+        while stack:
+            v, weight, room, short, neg = stack.pop()
+            nodes += 1
+            live = room & top
+            alive = live.bit_count()
+            if alive < k:
+                prunes_s += 1
+                continue
+            if v == n:
+                if weight < cutoff:
+                    cutoff = weight  # from now on only strictly lower leaves
+                    witness = neg
+                    if weight == stop:
+                        prunes_lb += 1
+                        break
+                continue
+            if weight - (n - v) >= cutoff:
+                prunes_w += 1
+                continue
+            spare = alive - k  # satisfiable vertices the k smallest demands leave out
+            live <<= 1
+            demand = 0
+            for add in adds:
+                over = ((short + add) & live).bit_count()
+                if over <= spare:
+                    break
+                demand += over - spare
+            cover = prefix[v]
+            p = bisect_left(cover, demand)
+            if p == len(cover) or weight - (n - v) + 2 * p >= cutoff:
+                prunes_r += 1
+                continue
+            # the +1 child is popped first, so leaves are met in lexicographic order
+            stack.append((v + 1, weight - 1, room - nb[v], short, neg | 1 << v))
+            stack.append((v + 1, weight + 1, room, short - nb[v], neg))
         if witness is None:
             raise RuntimeError("internal error: the search accepted no leaf")
-        best = SignAssignment(witness)
+        best = SignAssignment(tuple([-1 if witness >> v & 1 else 1 for v in range(n)]))
         ev = evaluate(graph, best, mode)
         if ev.weight != cutoff or ev.satisfied_count < k:
             raise RuntimeError("internal error: the accepted witness is inconsistent")

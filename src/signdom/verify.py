@@ -283,10 +283,14 @@ def _degree_inequality_subdomination(
 ) -> None:
     """Degree inequality every optimal nonneg k-subdominating assignment
     must obey, in terms of the satisfied positive/negative split; ``ev``
-    is the nonneg evaluation of ``f``."""
-    deg = degrees.__getitem__
-    lhs = sum([d for d, x in zip(degrees, f.values) if x > 0]) + len(ev.p1)
-    rhs = sum([(deg(v) + 2) // 2 for v in ev.satisfied])
+    is the nonneg evaluation of ``f``, so P1 u M1 are the vertices with a
+    closed sum of at least 0 and P1 the positive ones among them."""
+    lhs = rhs = 0
+    for d, x, s in zip(degrees, f.values, ev.closed_sums):
+        if x > 0:
+            lhs += d + (s >= 0)
+        if s >= 0:
+            rhs += (d + 2) // 2
     tally.record(
         "degree-inequalities",
         lhs >= rhs,

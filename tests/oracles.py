@@ -17,7 +17,7 @@ from signdom import Graph, Mode
 
 def naive_closed_sums(graph: Graph, values: tuple[int, ...]) -> list[int]:
     return [
-        values[v] + sum(values[u] for u in graph.neighbors(v))
+        values[v] + sum(values[u] for u in graph.adjacency[v])
         for v in graph.vertices()
     ]
 

@@ -144,6 +144,17 @@ def test_solve_reads_dimacs_automatically(runner, tmp_path):
     assert json.loads(result.output)["optimum"] == 1
 
 
+def test_solve_a_thousand_vertex_cycle(runner, tmp_path):
+    # the search keeps its own stack, so n is not bounded by Python's recursion limit
+    path = tmp_path / "c1000.col"
+    invoke(runner, "gen", "cycle", "--n", "1000", "--graph-format", "dimacs", "-o", str(path))
+    result = runner.invoke(main, ["solve", str(path), "--mode", "signed"])
+    assert result.exit_code == 0
+    assert result.exception is None
+    assert "Traceback" not in result.output
+    assert json.loads(result.output)["optimum"] == 334
+
+
 def test_bounds_text_output(runner, tmp_path):
     path = tmp_path / "sun2.gr"
     invoke(runner, "gen", "sun", "--t", "2", "-o", str(path))

@@ -57,7 +57,7 @@ def test_basic_accessors():
     assert g.edge_count == 2
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.degree(1) == 2
-    assert g.neighbors(1) == frozenset({0, 2})
+    assert g.adjacency[1] == frozenset({0, 2})
     assert g.closed_neighborhood(1) == frozenset({0, 1, 2})
     assert list(g.vertices()) == [0, 1, 2, 3]
 
@@ -219,18 +219,18 @@ def test_gen_sun_structure():
     assert g.edge_count == 12
     assert all(g.degree(v) % 2 == 0 for v in g.vertices())
     # gadget vertex 2t+i sits on cycle edge (i, i+1)
-    assert g.neighbors(4) == frozenset({0, 1})
-    assert g.neighbors(7) == frozenset({3, 0})
+    assert g.adjacency[4] == frozenset({0, 1})
+    assert g.adjacency[7] == frozenset({3, 0})
 
 
 def test_gen_hajos_structure():
     g = gen_hajos()
     assert g.vertex_count == 6
     assert g.edge_count == 9
-    assert g.neighbors(3) == frozenset({1, 2})
-    assert g.neighbors(4) == frozenset({0, 2})
-    assert g.neighbors(5) == frozenset({0, 1})
-    assert g.neighbors(0) >= frozenset({1, 2})
+    assert g.adjacency[3] == frozenset({1, 2})
+    assert g.adjacency[4] == frozenset({0, 2})
+    assert g.adjacency[5] == frozenset({0, 1})
+    assert g.adjacency[0] >= frozenset({1, 2})
 
 
 def test_gen_circulant_offset_one_is_cycle():

@@ -86,7 +86,7 @@ def test_sun_and_hajos_against_solver():
 
 
 def test_hajos_witness_assignment():
-    ev = evaluate(gen_hajos(), SignAssignment.from_string("+++---"), Mode.NONNEG)
+    ev = evaluate(gen_hajos(), SignAssignment((1, 1, 1, -1, -1, -1)), Mode.NONNEG)
     assert ev.weight == 0
     assert ev.satisfied_count == 6
 

@@ -40,7 +40,6 @@ def test_sign_assignment_basics():
     f = SignAssignment((1, -1, 1))
     assert f.weight == 1
     assert f.to_string() == "+-+"
-    assert SignAssignment.from_string("+-+") == f
     assert SignAssignment.all_plus(3).weight == 3
     with pytest.raises(ValueError):
         SignAssignment((1, 0, -1))
@@ -52,11 +51,9 @@ def test_sign_assignment_basics():
 def test_evaluate_c4_example():
     ev = evaluate(gen_cycle(4), SignAssignment((1, 1, -1, -1)), Mode.NONNEG)
     assert ev.weight == 0
+    # the satisfied vertices 0 and 1 (sums >= 0) are both positive
     assert ev.closed_sums == (1, 1, -1, -1)
-    assert ev.satisfied == frozenset({0, 1})
     assert ev.satisfied_count == 2
-    assert ev.p1 == frozenset({0, 1})
-    assert ev.m1 == frozenset()
     # a positive v has (d_v + 1 - closed sum) / 2 negative neighbours, so the
     # closed sums of the positives count the edges (1,2) and (3,0)
     assert sum((3 - ev.closed_sums[v]) // 2 for v in (0, 1)) == 2
@@ -74,7 +71,8 @@ def test_evaluate_hajos_triangle_positive():
 def test_evaluate_k1_negative():
     ev = evaluate(gen_complete(1), SignAssignment((-1,)), Mode.NONNEG)
     assert ev.weight == -1
-    assert ev.satisfied == frozenset()
+    assert ev.closed_sums == (-1,)
+    assert ev.satisfied_count == 0
 
 
 def test_evaluate_signed_threshold():
@@ -308,6 +306,32 @@ def test_bnb_cycles_signed_match_reference_quickly():
         assert r.stats.nodes < 1000  # the witness comes from the one search
 
 
+def test_bnb_solves_cycles_past_the_recursion_limit():
+    for n in range(991, 1001):
+        assert solve_bnb(gen_cycle(n), n, Mode.SIGNED).optimum == exact_cycle_signed(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bnb_stops_exactly_when_the_optimum_meets_the_stop_weight(n):
+    # The stop weight from the degree sequence alone: D is the sum of the k
+    # smallest demands ceil((d_v + 1 + tau) / 2), p the fewest of the
+    # largest d_u + 1 that sum to at least D, and c_k the k-th smallest demand.
+    for p in (0.2, 0.5, 0.8):
+        for seed in range(3):
+            g = gen_gnp(n, p, seed)
+            sizes = sorted((g.degree(v) + 1 for v in g.vertices()), reverse=True)
+            both = bruteforce_optima_both(g, range(1, n + 1))
+            for mode in Mode:
+                demands = sorted((g.degree(v) + 2 + mode.threshold) // 2 for v in g.vertices())
+                for k in range(1, n + 1):
+                    need = sum(demands[:k])
+                    fewest = next(i for i in range(n + 1) if sum(sizes[:i]) >= need)
+                    stop = max(2 * fewest - n, 2 * demands[k - 1] - n)
+                    stopped = solve_bnb(g, k, mode).stats.prunes_global_lb
+                    assert stopped in (0, 1)
+                    assert (stopped == 1) == (both[mode][k].optimum == stop), (p, seed, mode, k)
+
+
 # --- greedy upper bound ---
 
 
@@ -486,15 +510,14 @@ def test_eval_structure(g, data):
     for v in g.vertices():
         assert (ev.closed_sums[v] - g.degree(v) - 1) % 2 == 0
         # satisfied even-degree vertices clear 1, not just 0
-        if g.degree(v) % 2 == 0 and v in ev.satisfied:
+        if g.degree(v) % 2 == 0 and ev.closed_sums[v] >= 0:
             assert ev.closed_sums[v] >= 1
     # |E(P,M)| counted edge by edge agrees with the count read off the
     # closed sums: a positive v has (d_v + 1 - closed sum) / 2 negative neighbours
     assert sum((g.degree(v) + 1 - ev.closed_sums[v]) // 2 for v in pos) == sum(
         1 for u, v in g.edges() if (u in pos) != (v in pos)
     )
-    assert ev.p1 | ev.m1 == ev.satisfied
-    assert not ev.p1 & ev.m1
+    assert ev.satisfied_count == sum(1 for s in ev.closed_sums if s >= 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,12 +527,8 @@ def test_evaluate_matches_naive_closed_sums(g, data):
     sums = naive_closed_sums(g, values)
     for mode in Mode:
         ev = evaluate(g, SignAssignment(values), mode)
-        satisfied = {v for v, s in enumerate(sums) if s >= mode.threshold}
         assert list(ev.closed_sums) == sums
-        assert ev.satisfied == satisfied
-        assert ev.satisfied_count == len(satisfied)
-        assert ev.p1 == {v for v in satisfied if values[v] == 1}
-        assert ev.m1 == {v for v in satisfied if values[v] == -1}
+        assert ev.satisfied_count == sum(1 for s in sums if s >= mode.threshold)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
