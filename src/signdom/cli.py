@@ -200,35 +200,33 @@ def bounds_cmd(graph_file, k, order, fmt, output):
         _emit("\n".join(rows) + "\n", output)
 
 
+_SPEC = verify_mod.EnsembleSpec  # the one home of verify's ensemble defaults
+
+
 @main.command()
-@click.option("--family", "families", multiple=True,
-              type=click.Choice(list(FAMILIES)),
-              help="Restrict the ensemble (repeatable; default: all families).")
-@click.option("--n-min", type=int, default=4, show_default=True, help="Smallest G(n,p) order.")
-@click.option("--n-max", type=int, default=9, show_default=True, help="Largest ensemble order.")
-@click.option("--p", "p_values", multiple=True, type=float,
-              help="G(n,p) edge probabilities (repeatable; default 0.2 0.5 0.8).")
-@click.option("--seeds", type=int, default=50, show_default=True, help="Seeds per G(n,p) cell.")
+@click.option("--family", "families", multiple=True, type=click.Choice(list(FAMILIES)),
+              default=_SPEC.families, show_default=True, help="Restrict the ensemble (repeatable).")
+@click.option("--n-min", type=int, default=_SPEC.n_min, show_default=True, help="Smallest G(n,p) order.")
+@click.option("--n-max", type=int, default=_SPEC.n_max, show_default=True, help="Largest ensemble order.")
+@click.option("--p", "p_values", multiple=True, type=float, default=_SPEC.p_values, show_default=True,
+              help="G(n,p) edge probabilities (repeatable).")
+@click.option("--seeds", type=int, default=_SPEC.seeds_per_cell, show_default=True,
+              help="Seeds per G(n,p) cell.")
 @click.option("--check", "checks", multiple=True, type=click.Choice(list(verify_mod.CHECK_NAMES)),
               help="Run only these checks (repeatable; default: all).")
 @click.option("--k", "k_policy", type=click.Choice(["default", "all"]), default="default",
               show_default=True, help="k sweep: {1, ceil(n/2), n} or all of 1..n.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Base seed of the G(n,p) draws.")
+@click.option("--seed", type=int, default=_SPEC.base_seed, show_default=True,
+              help="Base seed of the G(n,p) draws.")
 @click.option("--workers", type=int, default=1, show_default=True, help="Parallel graph workers.")
 @click.option("--format", "fmt", type=click.Choice(["text", "jsonl"]), default="text", show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here.")
 def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, workers, fmt, output):
     """Run invariant checks over a reproducible ensemble; exit 1 on failure."""
-    if families and "gnp" not in families:
+    if "gnp" not in families:
         _reject_unread({"n_min", "p_values", "seeds", "seed"}, "without --family gnp")
-    spec = verify_mod.EnsembleSpec(
-        families=tuple(families) or tuple(FAMILIES),
-        n_min=n_min,
-        n_max=n_max,
-        p_values=tuple(p_values) or (0.2, 0.5, 0.8),
-        seeds_per_cell=seeds,
-        base_seed=seed,
-    )
+    spec = _SPEC(families=families, n_min=n_min, n_max=n_max, p_values=p_values,
+                 seeds_per_cell=seeds, base_seed=seed)
     # a campaign may run long: refuse a path _emit cannot write before it starts
     if output and not Path(output).parent.is_dir():
         raise click.UsageError(f"cannot write {output}: no directory {Path(output).parent}")

@@ -10,27 +10,27 @@ Two independent engines compute it, each with one entry point for one k
 and one for many. Exhaustive enumeration is the oracle:
 :func:`solve_bruteforce` is a literal loop over the 2^n assignments for
 one k, and :func:`bruteforce_optima_both` answers the requested k in
-both modes from one enumeration, on all assignments at once in bit-sliced
-integer arithmetic: the optimum for k is the least weight over the
-assignments that satisfy at least k vertices. Depth-first branch-and-bound
-is :func:`solve_bnb` for one k; :func:`bnb_optima` builds the search state
-once per graph and mode and solves the requested k in ascending order: a
-search may stop at its residual bound at the root, at the previous
-optimum, since optima never decrease in k, or at 2c - n, where c is the
-k-th smallest number of positives a closed neighbourhood needs; a
-previous witness that already satisfies k vertices answers k with no
-search. Both engines return the same canonical witness: the
-lexicographically smallest optimal sign vector under the ordering
-+1 < -1, vertex 0 most significant. Branch-and-bound finds it in its one
-search: it branches vertices in id order, +1 first,
-accepts ties with the greedy incumbent only until its first leaf, and
-prunes with a residual form of the double counting
-sum_v f(N[v]) = sum_u (d_u+1) f(u), counting the positives still needed
-by the k least demanding vertices. Its state
-is two integers with one fixed-width field per vertex, so a branch is one
-subtraction and needs no undo; the fields are wide enough that no
-subtraction borrows from a neighbouring field. It keeps its nodes on an
-explicit stack, so no recursion limit bounds n.
+both modes from one enumeration, on all assignments at once, in one
+integer with a fixed-width counter field per assignment: the optimum for
+k is the least weight over the assignments that satisfy at least k
+vertices. Depth-first branch-and-bound is :func:`solve_bnb` for one k;
+:func:`bnb_optima` builds the search state once per graph and mode and
+solves the requested k in ascending order: a search may stop at its
+residual bound at the root, at the previous optimum, since optima never
+decrease in k, or at 2c - n, where c is the k-th smallest number of
+positives a closed neighbourhood needs; a previous witness that already
+satisfies k vertices answers k with no search. Both engines return the
+same canonical witness: the lexicographically smallest optimal sign
+vector under the ordering +1 < -1, vertex 0 most significant.
+Branch-and-bound finds it in its one search: it branches vertices in id
+order, +1 first, accepts ties with the greedy incumbent only until its
+first leaf, and prunes with a residual form of the double counting sum_v
+f(N[v]) = sum_u (d_u+1) f(u), counting the positives still needed by the
+k least demanding vertices. Its state is two integers with one
+fixed-width field per vertex, so a branch is one subtraction and needs
+no undo; the fields are wide enough that no subtraction borrows from a
+neighbouring field. It keeps its nodes on an explicit stack, so no
+recursion limit bounds n.
 """
 
 from __future__ import annotations
@@ -221,40 +221,18 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     return SolveResult(optimum, witness, best_count, SearchStats(nodes=1 << n))
 
 
-def _add_bits(planes: list[int], bits: int) -> None:
-    """Add ``bits`` (1 or 0 at each mask) to the bit-sliced count
-    ``planes``: ``planes[i]`` holds bit i of every mask's count."""
-    for i, plane in enumerate(planes):
-        planes[i] = plane ^ bits
-        bits &= plane
-        if not bits:
-            return
-    planes.append(bits)
-
-
-def _counts_above(planes: list[int], c: int) -> int:
-    """The masks whose bit-sliced count exceeds c, for 0 <= c <
-    2^len(planes): those that first differ from c, from the top bit
-    down, by a 1 where c has a 0."""
-    above = 0
-    equal = -1  # every mask, less those with a 0 where c has a 1
-    for i in range(len(planes) - 1, -1, -1):
-        if (c >> i) & 1:
-            equal &= planes[i]
-        else:
-            above |= equal & planes[i]
-    return above
-
-
 def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[int, SolveResult]]:
     """:func:`solve_bruteforce` for every k in ``ks`` and both modes, keyed
     by mode and then k in ascending order, from one enumeration of the 2^n
     assignments, run on all of them at once.
 
-    Bit m of an integer stands for mask m, whose bit n-1-v set means
-    vertex v is -1, as in :func:`solve_bruteforce`; one integer operation
-    thus acts on every assignment, and a count per assignment is kept
-    bit-sliced (:func:`_add_bits`). Each vertex's negatives in N[v] are
+    One integer holds a counter for every mask: mask m, whose bit n-1-v
+    set means vertex v is -1 as in :func:`solve_bruteforce`, owns the
+    field of ``width`` bits at bit m*width, so one integer add counts for
+    every assignment. A counter never exceeds n < big = 2^bit_length(n),
+    and width = bit_length(n) + 1, so adding big-1-c to every field sets
+    bit big exactly in the fields whose counter exceeds c, and no add
+    carries into the next field. Each vertex's negatives in N[v] are
     counted once and compared with the threshold of each mode, and the
     satisfied vertices are counted per mode. The optimum for k is set by
     the most negatives among the masks that satisfy at least k vertices,
@@ -271,43 +249,49 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
         raise ValueError("solving requires a graph with n >= 1")
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_CAP} vertices (graph has {n})")
-    size = 1 << n
-    full = (1 << size) - 1
-    # column[v]: the masks with vertex v at -1, alternating runs of `run` zeros and ones
-    column = []
-    for v in range(n):
-        run = 1 << (n - 1 - v)
-        column.append((((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1)))
-    negatives: list[int] = []
-    for bits in column:
-        _add_bits(negatives, bits)
-    # at_least[j]: the masks with at least j negatives
-    at_least = [full] + [_counts_above(negatives, j) for j in range(n)]
-    satisfied: dict[Mode, list[int]] = {Mode.NONNEG: [], Mode.SIGNED: []}
+    big = 1 << n.bit_length()
+    width = n.bit_length() + 1
+    one = 1  # 1 in the field of every mask below 2^i
+    column = [0] * n  # column[v]: 1 in the field of every mask with vertex v at -1
+    for i in range(n):
+        bits = one << (width << i)  # the masks below 2^(i+1) with bit i set
+        one |= bits
+        for s in range(i + 1, n):  # repeat them with period 2^(i+1) masks
+            bits |= bits << (width << s)
+        column[n - 1 - i] = bits
+    top = one * big  # bit big of every field
+
+    def above(counts: int, c: int) -> int:
+        """Bit big of the fields whose counter exceeds c, for -1 <= c < n."""
+        return (counts + one * (big - 1 - c)) & top
+
+    negatives = sum(column)
+    satisfied = {Mode.NONNEG: 0, Mode.SIGNED: 0}
     for v, nbrs in enumerate(graph.adjacency):
-        held = [column[v]]  # negatives in N[v]
-        for u in nbrs:
-            _add_bits(held, column[u])
-        for mode, planes in satisfied.items():
+        held = column[v] + sum(map(column.__getitem__, nbrs))  # negatives in N[v]
+        for mode in satisfied:
             most = (len(nbrs) + 1 - mode.threshold) // 2  # most negatives N[v] may hold
-            _add_bits(planes, full ^ _counts_above(held, most))
+            # 1 in the field of every mask that satisfies v
+            satisfied[mode] += (top ^ above(held, most)) >> (width - 1)
     results: dict[Mode, dict[int, SolveResult]] = {}
-    for mode, planes in satisfied.items():
+    for mode, counts in satisfied.items():
         results[mode] = {}
         j = n  # optima never decrease in k, so j only falls
         result: SolveResult | None = None
         for k in ks:
             if result is None or result.satisfied_count < k:
-                enough = _counts_above(planes, k - 1)
-                while not enough & at_least[j]:
+                enough = above(counts, k - 1)
+                hit = enough & above(negatives, j - 1)
+                while j > 0 and not hit:
                     j -= 1
-                hit = enough & at_least[j]  # all with exactly j negatives
-                mask = (hit & -hit).bit_length() - 1
-                count = sum(((plane >> mask) & 1) << i for i, plane in enumerate(planes))
+                    hit = enough & above(negatives, j - 1)
+                # hit: the masks with j negatives that satisfy k vertices
+                mask = (hit & -hit).bit_length() // width - 1
                 witness = SignAssignment(
                     tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
                 )
-                result = SolveResult(n - 2 * j, witness, count, SearchStats(nodes=size))
+                count = (counts >> mask * width) % big
+                result = SolveResult(n - 2 * j, witness, count, SearchStats(nodes=1 << n))
             results[mode][k] = result
     return results
 

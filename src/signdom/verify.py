@@ -32,6 +32,7 @@ from .graph import (
     to_dimacs,
 )
 from .solver import (
+    BRUTE_FORCE_CAP,
     EvalResult,
     Mode,
     SignAssignment,
@@ -67,10 +68,6 @@ CHECK_NAMES = (
 )
 
 _SOLVE_CHECKS = frozenset(CHECK_NAMES) - {"degree-identity", "ksub-reduction"}
-
-# Graphs with at most this many vertices are also solved by exhaustive
-# enumeration, the oracle of the oracle-equivalence check.
-BRUTE_THRESHOLD = 14
 
 # A worker pool hands out graphs this many at a time.
 _CHUNK = 16
@@ -335,7 +332,7 @@ def _graph_battery(
     if not (_SOLVE_CHECKS & active):
         return sorted(tally.results.values(), key=lambda r: r.name)
 
-    oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_THRESHOLD else {}
+    oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_FORCE_CAP else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
     exact: dict[tuple[Mode, int], SolveResult] = {}
     evals: dict[tuple[Mode, int], EvalResult] = {}  # of exact's witness, evaluated once
@@ -480,9 +477,9 @@ def run_campaign(
     """Run the selected checks over the ensemble and aggregate a report.
 
     Every graph is solved by branch-and-bound, one call per mode for all
-    of its k; graphs with at most ``BRUTE_THRESHOLD`` vertices are also
-    solved by one exhaustive enumeration for both modes, the oracle of
-    the oracle-equivalence check. ``workers`` > 1 distributes graphs
+    of its k; graphs with at most ``BRUTE_FORCE_CAP`` (20) vertices are
+    also solved by one exhaustive enumeration for both modes, the oracle
+    of the oracle-equivalence check. ``workers`` > 1 distributes graphs
     over a process pool of at most one worker per 16-graph chunk, and a
     single chunk runs in-process; aggregation order is fixed by the
     ensemble order either way.

@@ -335,6 +335,30 @@ def test_verify_bad_counts_are_usage_errors(runner, args, message):
     assert "RESULT" not in result.output
 
 
+def test_verify_defaults_are_the_ensemble_spec_defaults(runner, monkeypatch):
+    seen = []
+    real = verify_mod.run_campaign
+
+    def record(spec, **kwargs):
+        seen.append(spec)
+        return real(verify_mod.EnsembleSpec(families=("hajos",)), **kwargs)
+
+    monkeypatch.setattr(verify_mod, "run_campaign", record)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 0, result.output
+    assert seen == [verify_mod.EnsembleSpec()]
+    command = main.commands["verify"]
+    ctx = command.make_context("verify", [])
+    fields = {"families": "families", "n_min": "n_min", "n_max": "n_max", "p_values": "p_values",
+              "seeds": "seeds_per_cell", "seed": "base_seed"}
+    for param in command.params:
+        if param.name in fields:
+            default = getattr(verify_mod.EnsembleSpec, fields[param.name])
+            shown = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            help_text = " ".join(param.get_help_record(ctx)[1].split())
+            assert help_text.endswith(f"[default: {shown}]"), (param.name, help_text)
+
+
 GRAPH = "<graph file>"  # stands for a C_4 edge list written by the test
 
 

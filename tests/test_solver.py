@@ -470,6 +470,24 @@ def test_bruteforce_optima_both_rejects_empty_and_oversized_graphs():
         bruteforce_optima_both(gen_cycle(BRUTE_FORCE_CAP + 1), [1])
 
 
+# The counter field is 5 bits wide up to n = 15 and 6 from n = 16; 20 is
+# the cap.
+@pytest.mark.parametrize("n", [15, 16, 20])
+@pytest.mark.parametrize("family", ["cycle", "circulant"])
+def test_bruteforce_optima_both_match_bnb_where_the_field_widens_and_at_the_cap(n, family):
+    g = gen_cycle(n) if family == "cycle" else gen_circulant(n, (1, 2))
+    ks = (1, (n + 1) // 2, n)
+    both = bruteforce_optima_both(g, ks)
+    for mode in Mode:
+        bnb = bnb_optima(g, mode, ks)
+        for k in ks:
+            brute = both[mode][k]
+            assert (brute.optimum, brute.witness) == (bnb[k].optimum, bnb[k].witness), (k, mode)
+            assert brute.satisfied_count == bnb[k].satisfied_count
+    if family == "cycle":
+        assert both[Mode.SIGNED][n].optimum == exact_cycle_signed(n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs(min_n=1, max_n=6))
 def test_monotone_in_k_and_mode(g):

@@ -97,6 +97,15 @@ def test_campaign_full_k_sweep():
     assert report.check("mode-dominance").passed >= 6 + 4 + 5 + 6
 
 
+def test_campaign_checks_every_graph_against_the_oracle_above_n14():
+    spec = EnsembleSpec(families=("gnp",), n_min=15, n_max=16, p_values=(0.5,), seeds_per_cell=2)
+    report = run_campaign(spec, checks=("oracle-equivalence",))
+    assert report.graph_count > 0
+    check = report.check("oracle-equivalence")
+    # optimum and witness, at 3 ks, in 2 modes, on every graph
+    assert (check.passed, check.failed) == (2 * 3 * 2 * report.graph_count, 0)
+
+
 def test_campaign_deterministic_up_to_timestamp():
     a = run_campaign(SMALL).to_dict()
     b = run_campaign(SMALL).to_dict()
