@@ -219,6 +219,13 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
         pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.SIGNED, (941, 4, 91, 372, 1), id="gnp16s0-k1-signed"),
         pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.NONNEG, (244, 16, 13, 88, 1), id="gnp16s1-k1-nonneg"),
         pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.SIGNED, (258, 24, 13, 85, 1), id="gnp16s1-k1-signed"),
+        # dense searches at k = n (the solve-full shape) and one at k = n/2
+        pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.NONNEG, (3849, 0, 955, 968, 0), id="gnp16s0-k16-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.SIGNED, (618, 0, 164, 139, 1), id="gnp16s0-k16-signed"),
+        pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.NONNEG, (1071, 1, 257, 276, 0), id="gnp16s1-k16-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.SIGNED, (1791, 1, 503, 390, 0), id="gnp16s1-k16-signed"),
+        pytest.param(gen_gnp(20, 0.5, 0), 10, Mode.SIGNED, (69209, 2, 13776, 20825, 0), id="gnp20s0-k10-signed"),
+        pytest.param(gen_gnp(24, 0.5, 1), 24, Mode.NONNEG, (182237, 0, 45902, 45215, 0), id="gnp24s1-k24-nonneg"),
     ],
 )
 def test_bnb_search_counters_pinned(g, k, mode, counters):
