@@ -25,12 +25,12 @@ vector under the ordering +1 < -1, vertex 0 most significant.
 Branch-and-bound finds it in its one search: it branches vertices in id
 order, +1 first, accepts ties with the greedy incumbent only until its
 first leaf, and prunes with a residual form of the double counting sum_v
-f(N[v]) = sum_u (d_u+1) f(u), counting the positives still needed by the
-k least demanding vertices. Its state is two integers with one
-fixed-width field per vertex, so a branch is one subtraction and needs
-no undo; the fields are wide enough that no subtraction borrows from a
-neighbouring field. It keeps its nodes on an explicit stack, so no
-recursion limit bounds n.
+f(N[v]) = sum_u (d_u+1) f(u): a node is cut when the positives the k
+least demanding vertices still need exceed what the new positives the
+incumbent leaves room for can supply. Its state is two integers with one fixed-width field per
+vertex, so a branch is one subtraction and needs no undo. It pushes only
+the -1 child of a node on an explicit stack and searches the +1 child in
+place, so no recursion limit bounds n.
 """
 
 from __future__ import annotations
@@ -320,16 +320,18 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     search, with ``SearchStats()`` (0 nodes). A single k is searched as
     below, node for node.
 
-    Vertices are branched in id order. A node on the explicit stack is
-    (v, weight, room, short, neg), neg the bitmask of the -1 vertices; the
-    -1 child is pushed before the +1 child, so the +1 child is searched
-    first and leaves are met in lexicographic order. Nothing bounds the
-    depth but memory: the ``prefix`` table takes O(n^2). The incumbent
-    starts at the weight of :func:`greedy_upper` with no witness attached.
-    Until the first leaf is accepted, a feasible leaf is accepted when its
-    weight is at most the incumbent; after that, only when it is strictly
-    lower. The first optimal leaf accepted is thus the lexicographically
-    smallest one, and no later leaf replaces it.
+    Vertices are branched in id order. A node is (v, floor, room, short,
+    neg), neg the bitmask of the -1 vertices and floor = weight - (n - v):
+    -n at the root, kept by a -1 child, raised by 2 for a +1 child, and a
+    leaf's weight. Only the -1 child is pushed on the explicit stack; the
+    +1 child, which keeps the parent's room and so its satisfiable count,
+    is searched in place first, so leaves are met in lexicographic order.
+    Nothing bounds the depth but memory: the ``prefix`` table takes O(n^2).
+    The incumbent starts at the weight of :func:`greedy_upper` with no
+    witness attached. Until the first leaf is accepted, a feasible leaf is
+    accepted when its weight is at most the incumbent; after that, only
+    when it is strictly lower. The first optimal leaf accepted is thus the
+    lexicographically smallest one, and no later leaf replaces it.
 
     Pruning uses the double counting sum_v f(N[v]) = sum_u (d_u+1) f(u)
     behind the paper's bounds, applied to the unassigned vertices U of a
@@ -339,8 +341,12 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     vertices that can still be satisfied. New positives P within U have
     sum_{u in P} (d_u+1) >= D, so |P| is at least p, the fewest of the
     largest d_u+1 over U that cover D, and every leaf below weighs at
-    least w - |U| + 2p. At k = n this is the paper's cap on negatives:
-    the demands and the negatives N[v] may still take sum to |N[v] & U|.
+    least w - |U| + 2p = floor + 2p. With cutoff the weight an accepted
+    leaf must be below and q = ceil((cutoff - floor)/2), the node is
+    pruned when p >= q, that is, when D exceeds the sum of the min(q, |U|)
+    largest d_u+1, one read of the ``prefix`` table. At k = n this is the
+    paper's cap on negatives: the demands and the negatives N[v] may still
+    take sum to |N[v] & U|.
 
     The search state is two integers, ``room`` (negatives N[v] may still
     take) and ``short`` (positives N[v] still lacks), each packing one
@@ -354,10 +360,11 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     Vertex v can still be satisfied while its room field has bit big set;
     the number of such vertices with demand above x is one add of
     big-1-x to every short field and a popcount of the bits 2*big, so D
-    costs one popcount per demand value at every k.
+    costs one popcount per demand value, and the scan stops as soon as D
+    passes the threshold.
 
     The bound already has the parity of n. A node is pruned when no
-    leaf below it can be accepted: all remaining -1 is still too heavy
+    leaf below it can be accepted: its floor is not below the cutoff
     (``prunes_weight``), fewer than k vertices stay satisfiable
     (``prunes_satisfiability``), or the residual bound is too high
     (``prunes_residual``). The search stops once a leaf of the stop weight
@@ -411,48 +418,56 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
         if last is not None:
             stop = max(stop, last.optimum)
         witness: int | None = None  # bitmask of the -1 vertices of the accepted leaf
+        count = 0  # vertices the accepted leaf satisfies
         nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
-        stack = [(0, 0, room0, short0, 0)]
+        stack = [(0, -n, room0, short0, 0)]
         while stack:
-            v, weight, room, short, neg = stack.pop()
+            v, floor, room, short, neg = stack.pop()
             nodes += 1
             live = room & top
             alive = live.bit_count()
             if alive < k:
                 prunes_s += 1
                 continue
-            if v == n:
-                if weight < cutoff:
-                    cutoff = weight  # from now on only strictly lower leaves
-                    witness = neg
-                    if weight == stop:
-                        prunes_lb += 1
-                        break
-                continue
-            if weight - (n - v) >= cutoff:
-                prunes_w += 1
-                continue
             spare = alive - k  # satisfiable vertices the k smallest demands leave out
             live <<= 1
-            demand = 0
-            for add in adds:
-                over = ((short + add) & live).bit_count()
-                if over <= spare:
+            # descend to each +1 child in place: room, so alive and spare, carry over
+            while True:
+                if v == n:
+                    if floor < cutoff:
+                        cutoff = floor  # from now on only strictly lower leaves
+                        witness = neg
+                        count = alive
+                        if floor == stop:
+                            prunes_lb += 1
+                            stack.clear()
                     break
-                demand += over - spare
-            cover = prefix[v]
-            p = bisect_left(cover, demand)
-            if p == len(cover) or weight - (n - v) + 2 * p >= cutoff:
-                prunes_r += 1
-                continue
-            # the +1 child is popped first, so leaves are met in lexicographic order
-            stack.append((v + 1, weight - 1, room - nb[v], short, neg | 1 << v))
-            stack.append((v + 1, weight + 1, room, short - nb[v], neg))
+                if floor >= cutoff:
+                    prunes_w += 1
+                    break
+                # prune when D needs more than q of the largest d_u + 1
+                q = (cutoff - floor + 1) >> 1
+                cover = prefix[v]
+                most = cover[q - 1] if q <= n - v else cover[-1]
+                demand = 0
+                for add in adds:
+                    over = ((short + add) & live).bit_count() - spare
+                    if over <= 0:
+                        break
+                    demand += over
+                    if demand > most:
+                        break
+                if demand > most:
+                    prunes_r += 1
+                    break
+                stack.append((v + 1, floor, room - nb[v], short, neg | 1 << v))
+                v, floor, short = v + 1, floor + 2, short - nb[v]
+                nodes += 1
         if witness is None:
             raise RuntimeError("internal error: the search accepted no leaf")
         best = SignAssignment(tuple([-1 if witness >> v & 1 else 1 for v in range(n)]))
         ev = evaluate(graph, best, mode)
-        if ev.weight != cutoff or ev.satisfied_count < k:
+        if ev.weight != cutoff or ev.satisfied_count != count or count < k:
             raise RuntimeError("internal error: the accepted witness is inconsistent")
         results[k] = last = SolveResult(
             optimum=cutoff,

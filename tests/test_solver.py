@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from signdom import (
     BRUTE_FORCE_CAP,
+    EvalResult,
     Graph,
     Mode,
     SearchStats,
@@ -23,6 +24,8 @@ from signdom import (
     solve_bnb,
     solve_bruteforce,
 )
+
+from signdom import solver
 
 from oracles import greedy_sweep, naive_closed_sums, naive_minimum
 from strategies import graphs, sign_vectors
@@ -232,6 +235,20 @@ def test_bnb_search_counters_pinned(g, k, mode, counters):
     s = solve_bnb(g, k, mode).stats
     assert (s.nodes, s.prunes_weight, s.prunes_satisfiability, s.prunes_residual, s.prunes_global_lb) == counters
 
+
+def test_bnb_checks_its_satisfied_count_against_evaluate(monkeypatch):
+    # At the accepted leaf every vertex is assigned, so the search's own
+    # count of satisfiable vertices is the satisfied count; an evaluation
+    # that disagrees, even by one above it, is an internal error.
+    real = solver.evaluate
+
+    def overcount(graph, f, mode):
+        ev = real(graph, f, mode)
+        return EvalResult(ev.weight, ev.closed_sums, ev.satisfied_count + 1)
+
+    monkeypatch.setattr(solver, "evaluate", overcount)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        solve_bnb(gen_gnp(8, 0.5, 0), 4, Mode.NONNEG)
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kth_demand_bound_is_below_every_optimum_and_sharp_at_k1(n):
