@@ -24,7 +24,6 @@ from signdom import (
     solve_bnb,
     solve_bruteforce,
 )
-
 from signdom import solver
 
 from oracles import greedy_sweep, naive_closed_sums, naive_minimum
@@ -249,6 +248,7 @@ def test_bnb_checks_its_satisfied_count_against_evaluate(monkeypatch):
     monkeypatch.setattr(solver, "evaluate", overcount)
     with pytest.raises(RuntimeError, match="inconsistent"):
         solve_bnb(gen_gnp(8, 0.5, 0), 4, Mode.NONNEG)
+
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kth_demand_bound_is_below_every_optimum_and_sharp_at_k1(n):
