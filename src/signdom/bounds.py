@@ -13,11 +13,11 @@ a {-1,+1} assignment on n vertices is congruent to n mod 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graph import DegreeProfile, Graph, degree_profile, is_connected
+from .graph import DegreeProfile, Graph, check_ks, degree_profile, is_connected
 
 __all__ = [
     "bound_prior_halfn",
@@ -54,16 +54,6 @@ BOUND_NAMES = (
 )
 
 
-def _require_order(profile: DegreeProfile) -> None:
-    if profile.n < 1:
-        raise ValueError("bounds require a graph with n >= 1")
-
-
-def _check_k(profile: DegreeProfile, k: int) -> None:
-    if not 1 <= k <= profile.n:
-        raise ValueError(f"k must satisfy 1 <= k <= {profile.n}, got {k}")
-
-
 def parity_lift(value: Fraction | int, n: int) -> int:
     """Least integer >= value congruent to n mod 2."""
     c = math.ceil(value)
@@ -77,26 +67,26 @@ def _ceil_sqrt(x: int) -> int:
 
 def bound_prior_halfn(profile: DegreeProfile) -> Fraction:
     """n/2 - m."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     return Fraction(profile.n - 2 * profile.m, 2)
 
 
 def bound_prior_deltaceil(profile: DegreeProfile) -> Fraction:
     """(-4m + 3n*ceil((delta+1)/2) - n) / (3*ceil((delta+1)/2) + 1)."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     c = (profile.delta + 2) // 2
     return Fraction(-4 * profile.m + 3 * profile.n * c - profile.n, 3 * c + 1)
 
 
 def bound_prior_hua(profile: DegreeProfile) -> Fraction:
     """(delta - Delta) * n / (delta + Delta + 2)."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     return Fraction((profile.delta - profile.Delta) * profile.n, profile.delta + profile.Delta + 2)
 
 
 def bound_nn_1(profile: DegreeProfile) -> Fraction:
     """(n*delta - n*Delta + 2*n_e) / (Delta + delta + 2)."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     return Fraction(
         profile.n * profile.delta - profile.n * profile.Delta + 2 * profile.n_e,
         profile.Delta + profile.delta + 2,
@@ -105,13 +95,13 @@ def bound_nn_1(profile: DegreeProfile) -> Fraction:
 
 def bound_nn_2(profile: DegreeProfile) -> Fraction:
     """(2m + n_e - n*Delta) / (Delta + 1)."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     return Fraction(2 * profile.m + profile.n_e - profile.n * profile.Delta, profile.Delta + 1)
 
 
 def bound_nn_3(profile: DegreeProfile) -> Fraction:
     """(n*delta + n_e - 2m) / (delta + 1)."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     return Fraction(profile.n * profile.delta + profile.n_e - 2 * profile.m, profile.delta + 1)
 
 
@@ -123,7 +113,7 @@ def bound_nn_4(profile: DegreeProfile) -> int:
     radicand, found by taking the least integer y >= sqrt(radicand) of
     the same parity as delta + 1.
     """
-    _require_order(profile)
+    check_ks(profile.n, ())
     a = profile.delta + 1
     x = a * a + 8 * (profile.n * profile.delta + profile.n + profile.n_e)
     y = _ceil_sqrt(x)
@@ -134,22 +124,20 @@ def bound_nn_4(profile: DegreeProfile) -> int:
 
 def bound_nn_5(profile: DegreeProfile) -> int:
     """ceil(sqrt(2m + n + n_e) - n), via exact integer square root."""
-    _require_order(profile)
+    check_ks(profile.n, ())
     return _ceil_sqrt(2 * profile.m + profile.n + profile.n_e) - profile.n
 
 
 def bound_ksub_1(profile: DegreeProfile, k: int) -> Fraction:
     """2 * sum_{i<=k} ceil((d_i+1)/2) / (Delta + 1) - n, over the k smallest degrees."""
-    _require_order(profile)
-    _check_k(profile, k)
+    check_ks(profile.n, (k,))
     size = profile.Delta + 1
     return Fraction(2 * profile.ceil_half_sum(k) - profile.n * size, size)
 
 
 def bound_ksub_2(profile: DegreeProfile, k: int) -> Fraction:
     """(n*delta - 4m - n + 2 * sum_{i<=k} ceil((d_i+1)/2)) / (delta + 1)."""
-    _require_order(profile)
-    _check_k(profile, k)
+    check_ks(profile.n, (k,))
     return Fraction(
         profile.n * profile.delta - 4 * profile.m - profile.n + 2 * profile.ceil_half_sum(k),
         profile.delta + 1,
@@ -160,10 +148,9 @@ def bound_regular(profile: DegreeProfile, k: int) -> Fraction:
     """Lower bound for r-regular graphs: k(r+2)/(r+1) - n for even r, k - n
     for odd r; k = n gives the full-domination form.
     """
-    _require_order(profile)
+    check_ks(profile.n, (k,))
     if not profile.is_regular:
         raise ValueError("bound_regular requires a regular graph")
-    _check_k(profile, k)
     r = profile.delta
     if r % 2 == 0:
         return Fraction(k * (r + 2) - profile.n * (r + 1), r + 1)
@@ -172,13 +159,13 @@ def bound_regular(profile: DegreeProfile, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """One named bound: exact value, its ceiling, and the parity-lifted
-    integer form. ``applicable`` is False when the bound's hypothesis
-    (connectivity, k = n, regularity) does not hold for the graph at hand;
-    the value is still reported when it is defined.
+    """One bound's exact value, its ceiling, and the parity-lifted integer
+    form; a report keys it by the bound's name. ``applicable`` is False
+    when the bound's hypothesis (connectivity, k = n, regularity) does not
+    hold for the graph at hand; the value is still reported when it is
+    defined.
     """
 
-    name: str
     raw: Fraction | None
     ceil: int | None
     parity_lifted: int | None
@@ -220,17 +207,11 @@ class BoundReport:
         return record
 
 
-def _value(name: str, raw: Fraction | int, n: int, applicable: bool) -> BoundValue:
+def _value(raw: Fraction | int, n: int, applicable: bool) -> BoundValue:
     if isinstance(raw, int):  # nn4 and nn5 are integers already
         raw = Fraction(raw)
     ceil = -(-raw.numerator // raw.denominator)
-    return BoundValue(
-        name=name,
-        raw=raw,
-        ceil=ceil,
-        parity_lifted=ceil + (ceil - n) % 2,
-        applicable=applicable,
-    )
+    return BoundValue(raw, ceil, ceil + (ceil - n) % 2, applicable)
 
 
 def bound_report(graph: Graph, k: int) -> BoundReport:
@@ -251,34 +232,29 @@ def bound_reports(profile: DegreeProfile, connected: bool, ks: Iterable[int]) ->
     with empty values on non-regular graphs. The full-domination bounds,
     which do not depend on k, are computed once for all of ``ks``.
     """
-    _require_order(profile)
-    ks = sorted(set(ks))
-    for k in ks:
-        _check_k(profile, k)
+    ks = check_ks(profile.n, ks)
     n = profile.n
     full = {  # name -> its value at k = n, where it may apply
-        "prior_halfn": _value("prior_halfn", bound_prior_halfn(profile), n, True),
-        "prior_deltaceil": _value("prior_deltaceil", bound_prior_deltaceil(profile), n, True),
-        "prior_hua": _value("prior_hua", bound_prior_hua(profile), n, True),
-        "nn1": _value("nn1", bound_nn_1(profile), n, connected),
-        "nn2": _value("nn2", bound_nn_2(profile), n, connected),
-        "nn3": _value("nn3", bound_nn_3(profile), n, connected),
-        "nn4": _value("nn4", bound_nn_4(profile), n, connected),
-        "nn5": _value("nn5", bound_nn_5(profile), n, connected),
+        "prior_halfn": _value(bound_prior_halfn(profile), n, True),
+        "prior_deltaceil": _value(bound_prior_deltaceil(profile), n, True),
+        "prior_hua": _value(bound_prior_hua(profile), n, True),
+        "nn1": _value(bound_nn_1(profile), n, connected),
+        "nn2": _value(bound_nn_2(profile), n, connected),
+        "nn3": _value(bound_nn_3(profile), n, connected),
+        "nn4": _value(bound_nn_4(profile), n, connected),
+        "nn5": _value(bound_nn_5(profile), n, connected),
     }
     below = {}  # the same values at k < n, where none applies
     if ks and ks[0] < n:
-        below = {
-            name: BoundValue(name, b.raw, b.ceil, b.parity_lifted, False) for name, b in full.items()
-        }
+        below = {name: replace(b, applicable=False) for name, b in full.items()}
     reports: dict[int, BoundReport] = {}
     for k in ks:
         bounds = dict(full if k == n else below)
-        bounds["ksub1"] = _value("ksub1", bound_ksub_1(profile, k), n, True)
-        bounds["ksub2"] = _value("ksub2", bound_ksub_2(profile, k), n, True)
+        bounds["ksub1"] = _value(bound_ksub_1(profile, k), n, True)
+        bounds["ksub2"] = _value(bound_ksub_2(profile, k), n, True)
         if profile.is_regular:
-            bounds["regular"] = _value("regular", bound_regular(profile, k), n, True)
+            bounds["regular"] = _value(bound_regular(profile, k), n, True)
         else:
-            bounds["regular"] = BoundValue("regular", None, None, None, False)
+            bounds["regular"] = BoundValue(None, None, None, False)
         reports[k] = BoundReport(n=n, k=k, connected=connected, bounds=bounds)
     return reports

@@ -280,7 +280,7 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
     if start > end:
         raise click.UsageError(f"--start ({start}) must not exceed --end ({end})")
     given = {"offsets": _offsets(offsets)}
-    modes = [Mode.NONNEG, Mode.SIGNED] if mode_name == "both" else [Mode(mode_name)]
+    modes = list(Mode) if mode_name == "both" else [Mode(mode_name)]
     records: list[dict[str, object]] = []
     for param in range(start, end + 1):
         try:

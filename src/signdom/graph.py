@@ -106,12 +106,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        return sorted(
-            (v, u) if u > v else (u, v)
-            for v in self.vertices()
-            for u in self.adjacency[v]
-            if u > v
-        )
+        return sorted((v, u) for v in self.vertices() for u in self.adjacency[v] if u > v)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -124,6 +119,21 @@ class Graph:
         import hashlib  # on use: only this method needs it, and it slows `import signdom`
 
         return hashlib.sha256(to_dimacs(self).encode("ascii")).hexdigest()[:12]
+
+
+def check_ks(n: int, ks: Iterable[int]) -> list[int]:
+    """The subdomination parameters ``ks`` ascending without repeats.
+
+    Raises ValueError unless the graph has n >= 1 vertices and every k
+    satisfies 1 <= k <= n, the range where the problem is defined.
+    """
+    if n < 1:
+        raise ValueError("the graph must have n >= 1 vertices")
+    ks = sorted(set(ks))
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    return ks
 
 
 @dataclass(frozen=True)
@@ -149,8 +159,7 @@ class DegreeProfile:
 
     def ceil_half_sum(self, k: int) -> int:
         """Sum of ceil((d_i + 1) / 2) over the k smallest degrees."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must satisfy 1 <= k <= {self.n}, got {k}")
+        check_ks(self.n, (k,))
         return sum((d + 2) // 2 for d in self.degrees_sorted[:k])
 
 

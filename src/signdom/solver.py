@@ -42,7 +42,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, check_ks
 
 __all__ = [
     "Mode",
@@ -139,13 +139,6 @@ class SolveResult:
     stats: SearchStats
 
 
-def _check_k(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError("solving requires a graph with n >= 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-
-
 def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     """Feasible assignment found by greedy sign flips.
 
@@ -158,7 +151,7 @@ def greedy_upper(graph: Graph, k: int, mode: Mode) -> SignAssignment:
     satisfied) but carries no optimality guarantee.
     """
     n = graph.vertex_count
-    _check_k(n, k)
+    check_ks(n, (k,))
     adj = graph.adjacency
     tau = mode.threshold
     signs = [1] * n
@@ -192,7 +185,7 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     smallest optimal sign vector.
     """
     n = graph.vertex_count
-    _check_k(n, k)
+    check_ks(n, (k,))
     if n > cap:
         raise ValueError(f"brute force capped at {cap} vertices (graph has {n}); raise cap to override")
     tau = mode.threshold
@@ -242,11 +235,7 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
     than ``BRUTE_FORCE_CAP`` vertices.
     """
     n = graph.vertex_count
-    ks = sorted(set(ks))
-    for k in ks:
-        _check_k(n, k)
-    if n < 1:
-        raise ValueError("solving requires a graph with n >= 1")
+    ks = check_ks(n, ks)
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_CAP} vertices (graph has {n})")
     big = 1 << n.bit_length()
@@ -266,7 +255,7 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
         return (counts + one * (big - 1 - c)) & top
 
     negatives = sum(column)
-    satisfied = {Mode.NONNEG: 0, Mode.SIGNED: 0}
+    satisfied = dict.fromkeys(Mode, 0)
     for v, nbrs in enumerate(graph.adjacency):
         held = column[v] + sum(map(column.__getitem__, nbrs))  # negatives in N[v]
         for mode in satisfied:
@@ -371,9 +360,7 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     is accepted (``prunes_global_lb``).
     """
     n = graph.vertex_count
-    ks = sorted(set(ks))
-    for k in ks:
-        _check_k(n, k)
+    ks = check_ks(n, ks)
     if not ks:
         return {}
     tau = mode.threshold

@@ -10,7 +10,9 @@ from signdom import (
     SearchStats,
     SignAssignment,
     bnb_optima,
+    bound_reports,
     bruteforce_optima_both,
+    degree_profile,
     evaluate,
     exact_cycle_signed,
     gen_circulant,
@@ -20,6 +22,7 @@ from signdom import (
     gen_hajos,
     gen_sun,
     greedy_upper,
+    is_connected,
     result_record,
     solve_bnb,
     solve_bruteforce,
@@ -318,6 +321,29 @@ def test_bnb_optima_keys_and_errors():
             bnb_optima(g, Mode.SIGNED, bad)
     with pytest.raises(ValueError, match="n >= 1"):
         bnb_optima(Graph.from_edges(0, []), Mode.NONNEG, [1])
+
+
+def test_every_many_k_entry_point_refuses_an_invalid_k_alike():
+    """The k rule has one home: the empty graph, k = 0 and k = n + 1 get
+    the same message from each entry point that checks it."""
+    c5 = gen_cycle(5)
+    cases = [
+        (Graph.from_edges(0, []), [], 1, "the graph must have n >= 1 vertices"),
+        (c5, [0, 3], 0, "k must satisfy 1 <= k <= 5, got 0"),
+        (c5, [3, 6], 6, "k must satisfy 1 <= k <= 5, got 6"),
+    ]
+    for graph, ks, k, message in cases:
+        profile = degree_profile(graph)
+        calls = [
+            lambda: bnb_optima(graph, Mode.NONNEG, ks),
+            lambda: bruteforce_optima_both(graph, ks),
+            lambda: bound_reports(profile, is_connected(graph), ks),
+            lambda: profile.ceil_half_sum(k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 def test_bnb_cycles_signed_match_reference_quickly():

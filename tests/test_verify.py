@@ -42,6 +42,8 @@ def test_k_values_policies():
     assert _k_values(4, "all") == (1, 2, 3, 4)
     with pytest.raises(ValueError):
         _k_values(4, "sometimes")
+    with pytest.raises(ValueError, match="k_policy"):  # also with no graph to take ks for
+        run_campaign(EnsembleSpec(families=("hajos",), n_max=5), k_policy="bogus")
 
 
 def test_build_ensemble_contents():
@@ -86,6 +88,26 @@ def test_campaign_check_filter():
     assert [c.name for c in report.checks] == ["degree-identity", "ksub-reduction"]
     with pytest.raises(ValueError, match="unknown check"):
         run_campaign(SMALL, checks=("no-such-check",))
+
+
+MIXED = EnsembleSpec(
+    families=("cycle", "sun", "hajos", "complete", "gnp"), n_max=8, seeds_per_cell=3
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_all_checks():
+    return {c.name: c for c in run_campaign(MIXED, k_policy="all").checks}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_a_single_check_campaign_counts_as_the_all_checks_campaign(mixed_all_checks, name):
+    """Selecting one check changes which results are kept, never how many
+    that check records."""
+    (alone,) = run_campaign(MIXED, k_policy="all", checks=(name,)).checks
+    full = mixed_all_checks[name]
+    assert (alone.name, alone.passed, alone.failed) == (name, full.passed, full.failed)
+    assert alone.passed > 0
 
 
 def test_campaign_full_k_sweep():
