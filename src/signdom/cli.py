@@ -256,6 +256,8 @@ def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, work
                 )
         if report.checks_recorded == 0:
             click.echo(f"no check recorded a result on {report.graph_count} graphs")
+        if report.graphs_without_oracle:
+            click.echo(f"graphs without an oracle (n > {BRUTE_FORCE_CAP}): {report.graphs_without_oracle}")
         click.echo("RESULT: PASS" if report.all_passed else "RESULT: FAIL")
     if not report.all_passed:
         sys.exit(1)

@@ -19,7 +19,9 @@ solves the requested k in ascending order: a search may stop at its
 residual bound at the root, at the previous optimum, since optima never
 decrease in k, or at 2c - n, where c is the k-th smallest number of
 positives a closed neighbourhood needs; a previous witness that already
-satisfies k vertices answers k with no search. Both engines return the
+satisfies k vertices answers k with no search, and so does k = 1, whose
+optimum is 2c - n and whose witness puts the c positives on the lowest
+ids of a closed neighbourhood that needs c. Both engines return the
 same canonical witness: the lexicographically smallest optimal sign
 vector under the ordering +1 < -1, vertex 0 most significant.
 Branch-and-bound finds it in its one search: it branches vertices in id
@@ -28,9 +30,10 @@ first leaf, and prunes with a residual form of the double counting sum_v
 f(N[v]) = sum_u (d_u+1) f(u): a node is cut when the positives the k
 least demanding vertices still need exceed what the new positives the
 incumbent leaves room for can supply. Its state is two integers with one fixed-width field per
-vertex, so a branch is one subtraction and needs no undo. It pushes only
-the -1 child of a node on an explicit stack and searches the +1 child in
-place, so no recursion limit bounds n.
+vertex, so a branch is one subtraction and needs no undo; at k = n the
+positives still needed are a running sum that a +1 child lowers by one
+popcount. It pushes only the -1 child of a node on an explicit stack and
+searches the +1 child in place, so no recursion limit bounds n.
 """
 
 from __future__ import annotations
@@ -302,15 +305,19 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     vertex is satisfiable and D is the sum of the k smallest demands. The optimum
     never decreases in k, and c is the k-th smallest ceil((d_v+1+tau)/2):
     one of the k or more satisfied vertices needs at least c positives in
-    N[v], so c positives at least. At k = 1 this is the optimum itself.
-    When the witness for k' satisfies at least k vertices, it is the
-    optimum and the canonical witness for k as well: every assignment
-    feasible for k is feasible for k'. Such a k is answered without a
-    search, with ``SearchStats()`` (0 nodes). A single k is searched as
-    below, node for node.
+    N[v], so c positives at least. When the witness for k' satisfies at
+    least k vertices, it is the optimum and the canonical witness for k as
+    well: every assignment feasible for k is feasible for k'. Such a k is
+    answered without a search, with ``SearchStats()`` (0 nodes), and so is
+    k = 1: 2c - n is its optimum, and an optimal assignment has exactly c
+    positives, all in N[v] for some v that needs c, so the canonical
+    witness is the lexicographically least "+1 on the c lowest ids of
+    N[v]" over those v. A single k >= 2 is searched as below, node for
+    node.
 
     Vertices are branched in id order. A node is (v, floor, room, short,
-    neg), neg the bitmask of the -1 vertices and floor = weight - (n - v):
+    neg, owed), neg the bitmask of the -1 vertices, owed as below, and
+    floor = weight - (n - v):
     -n at the root, kept by a -1 child, raised by 2 for a +1 child, and a
     leaf's weight. Only the -1 child is pushed on the explicit stack; the
     +1 child, which keeps the parent's room and so its satisfiable count,
@@ -348,9 +355,15 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     keeps a field below 4*big = 2^width, so no add carries into the next.
     Vertex v can still be satisfied while its room field has bit big set;
     the number of such vertices with demand above x is one add of
-    big-1-x to every short field and a popcount of the bits 2*big, so D
-    costs one popcount per demand value, and the scan stops as soon as D
-    passes the threshold.
+    big-1-x to every short field and a popcount of the bits 2*big. Below
+    k = n, D is that count summed over the demand values x, less the
+    satisfiable vertices beyond the k, and the scan stops as soon as D
+    passes the threshold. At k = n every vertex satisfiable at a node
+    that reaches the test leaves none out, so D is the sum of all
+    positive demands, carried down the search as ``owed``: it starts at
+    the sum of the demands, a -1 child keeps it, and a +1 child on v
+    lowers it by the number of fields of N[v] with a positive demand, one
+    popcount of bit 2*big of short + big-1 over N[v].
 
     The bound already has the parity of n. A node is pruned when no
     leaf below it can be accepted: its floor is not below the cutoff
@@ -379,6 +392,7 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     short0 = top + sum(map(mul, field, lacks))
     # adds[x] lifts a short field to 2*big or more exactly when its demand > x.
     adds = [one * (big - 1 - x) for x in range(max(lacks))]
+    nbhi = [b << (n.bit_length() + 1) for b in nb]  # bit 2*big of each field of N[v]
     # prefix[depth]: prefix sums of d_u + 1 over the unassigned u >= depth,
     # largest first, built from the last vertex back.
     prefix = [[0]] * (n + 1)
@@ -392,6 +406,14 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     for k in ks:
         if last is not None and last.satisfied_count >= k:
             results[k] = SolveResult(last.optimum, last.witness, last.satisfied_count, SearchStats())
+            continue
+        if k == 1:
+            # the least demanding N[v] with positives on its lowest ids
+            c = ranked[0]
+            plus = set(min(sorted((v, *adj[v]))[:c] for v in range(n) if lacks[v] == c))
+            best = SignAssignment(tuple([1 if v in plus else -1 for v in range(n)]))
+            satisfied = evaluate(graph, best, mode).satisfied_count
+            results[k] = last = SolveResult(2 * c - n, best, satisfied, SearchStats())
             continue
         cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
         # The stop weight: the residual bound at the root, where every
@@ -407,9 +429,10 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
         witness: int | None = None  # bitmask of the -1 vertices of the accepted leaf
         count = 0  # vertices the accepted leaf satisfies
         nodes = prunes_w = prunes_s = prunes_r = prunes_lb = 0
-        stack = [(0, -n, room0, short0, 0)]
+        full = k == n  # every vertex satisfiable, so spare = 0 and D is owed
+        stack = [(0, -n, room0, short0, 0, sum(lacks))]
         while stack:
-            v, floor, room, short, neg = stack.pop()
+            v, floor, room, short, neg, owed = stack.pop()
             nodes += 1
             live = room & top
             alive = live.bit_count()
@@ -436,18 +459,23 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
                 q = (cutoff - floor + 1) >> 1
                 cover = prefix[v]
                 most = cover[q - 1] if q <= n - v else cover[-1]
-                demand = 0
-                for add in adds:
-                    over = ((short + add) & live).bit_count() - spare
-                    if over <= 0:
-                        break
-                    demand += over
-                    if demand > most:
-                        break
+                if full:
+                    demand = owed
+                else:
+                    demand = 0
+                    for add in adds:
+                        over = ((short + add) & live).bit_count() - spare
+                        if over <= 0:
+                            break
+                        demand += over
+                        if demand > most:
+                            break
                 if demand > most:
                     prunes_r += 1
                     break
-                stack.append((v + 1, floor, room - nb[v], short, neg | 1 << v))
+                stack.append((v + 1, floor, room - nb[v], short, neg | 1 << v, owed))
+                if full:  # a +1 on v gives one owed positive to each vertex of N[v] that lacks one
+                    owed -= ((short + adds[0]) & nbhi[v]).bit_count()
                 v, floor, short = v + 1, floor + 2, short - nb[v]
                 nodes += 1
         if witness is None:

@@ -171,6 +171,7 @@ class CampaignReport:
     graph_count: int
     checks: list[CheckResult]
     checks_recorded: int  # results recorded, passed or failed; 0: nothing tested
+    graphs_without_oracle: int  # graphs above BRUTE_FORCE_CAP, checked by no second engine
     all_passed: bool
     generated_at: str
 
@@ -516,6 +517,7 @@ def run_campaign(
         graph_count=len(ensemble),
         checks=checks_out,
         checks_recorded=recorded,
+        graphs_without_oracle=sum(g.vertex_count > BRUTE_FORCE_CAP for _, g in ensemble),
         # a campaign that recorded no result has shown nothing, so it fails
         all_passed=recorded > 0 and all(c.failed == 0 for c in checks_out),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -169,18 +169,20 @@ def test_default_campaign_counts_are_pinned(default_campaign):
     assert {c.name: c.passed for c in report.checks} == DEFAULT_CAMPAIGN_PASSED
     assert all(c.failed == 0 for c in report.checks)
     assert report.checks_recorded == sum(DEFAULT_CAMPAIGN_PASSED.values())
+    assert report.graphs_without_oracle == 0  # all n <= 9
 
 
 def test_default_campaign_search_nodes_are_pinned():
     # The battery's searches, one bnb_optima call per graph and mode. The
     # stop at the k-th smallest demand saves a third of them: without it
-    # the total is 126,563 (47,840 of them at k = 1).
+    # the total is 126,563 (47,840 of them at k = 1). Answering k = 1 at
+    # the root, with no search, saves the other 19,399 (81,091 before).
     total = 0
     for _, graph in build_ensemble(EnsembleSpec()):
         ks = _k_values(graph.vertex_count, "default")
         for mode in Mode:
             total += sum(r.stats.nodes for r in bnb_optima(graph, mode, ks).values())
-    assert total == 81_091
+    assert total == 61_692
 
 
 def test_criterion_10_determinism(default_campaign):

@@ -255,8 +255,15 @@ def test_verify_small_ensemble_passes(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "RESULT: PASS" in result.output
+    assert "without an oracle" not in result.output
     report = json.loads(report_path.read_text())
     assert report["all_passed"] is True
+
+
+def test_verify_text_names_the_graphs_without_an_oracle(runner):
+    result = runner.invoke(main, ["verify", "--family", "cycle", "--n-max", "22", "--check", "parity"])
+    assert result.exit_code == 0, result.output
+    assert "graphs without an oracle (n > 20): 2\n" in result.output
 
 
 def test_verify_bound_dominance_on_complete_family(runner):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,6 +22,7 @@ from signdom import (
     gen_cycle,
     gen_gnp,
     gen_hajos,
+    gen_path,
     gen_sun,
     greedy_upper,
     is_connected,
@@ -201,9 +204,8 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
 
 # (nodes, prunes_weight, prunes_satisfiability, prunes_residual,
 # prunes_global_lb), recorded from the list-based search state that the
-# packed one replaced: the search must stay the same node for node. The
-# k = 1 rows were recorded with the stop at the k-th smallest demand, whose
-# witnesses and optima equal solve_bruteforce's.
+# packed one replaced: the search must stay the same node for node. k = 1
+# is answered at the root with no search, so its rows count nothing.
 @pytest.mark.parametrize(
     "g, k, mode, counters",
     [
@@ -216,14 +218,14 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
         pytest.param(gen_gnp(16, 0.5, 0), 8, Mode.SIGNED, (5533, 1, 918, 1846, 0), id="gnp16s0-signed"),
         pytest.param(gen_gnp(16, 0.5, 1), 8, Mode.NONNEG, (3933, 1, 564, 1400, 0), id="gnp16s1-nonneg"),
         pytest.param(gen_gnp(16, 0.5, 1), 8, Mode.SIGNED, (4473, 1, 738, 1496, 0), id="gnp16s1-signed"),
-        pytest.param(gen_sun(4), 1, Mode.NONNEG, (31, 13, 0, 0, 1), id="sun4-k1-nonneg"),
-        pytest.param(gen_sun(4), 1, Mode.SIGNED, (31, 13, 0, 0, 1), id="sun4-k1-signed"),
-        pytest.param(gen_cycle(46), 1, Mode.SIGNED, (91, 43, 0, 0, 1), id="C46-k1-signed"),
-        pytest.param(gen_complete(9), 1, Mode.NONNEG, (14, 3, 0, 0, 1), id="K9-k1-nonneg"),
-        pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.NONNEG, (230, 9, 14, 89, 1), id="gnp16s0-k1-nonneg"),
-        pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.SIGNED, (941, 4, 91, 372, 1), id="gnp16s0-k1-signed"),
-        pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.NONNEG, (244, 16, 13, 88, 1), id="gnp16s1-k1-nonneg"),
-        pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.SIGNED, (258, 24, 13, 85, 1), id="gnp16s1-k1-signed"),
+        pytest.param(gen_sun(4), 1, Mode.NONNEG, (0, 0, 0, 0, 0), id="sun4-k1-nonneg"),
+        pytest.param(gen_sun(4), 1, Mode.SIGNED, (0, 0, 0, 0, 0), id="sun4-k1-signed"),
+        pytest.param(gen_cycle(46), 1, Mode.SIGNED, (0, 0, 0, 0, 0), id="C46-k1-signed"),
+        pytest.param(gen_complete(9), 1, Mode.NONNEG, (0, 0, 0, 0, 0), id="K9-k1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.NONNEG, (0, 0, 0, 0, 0), id="gnp16s0-k1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 1, Mode.SIGNED, (0, 0, 0, 0, 0), id="gnp16s0-k1-signed"),
+        pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.NONNEG, (0, 0, 0, 0, 0), id="gnp16s1-k1-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.SIGNED, (0, 0, 0, 0, 0), id="gnp16s1-k1-signed"),
         # dense searches at k = n (the solve-full shape) and one at k = n/2
         pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.NONNEG, (3849, 0, 955, 968, 0), id="gnp16s0-k16-nonneg"),
         pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.SIGNED, (618, 0, 164, 139, 1), id="gnp16s0-k16-signed"),
@@ -231,6 +233,13 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
         pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.SIGNED, (1791, 1, 503, 390, 0), id="gnp16s1-k16-signed"),
         pytest.param(gen_gnp(20, 0.5, 0), 10, Mode.SIGNED, (69209, 2, 13776, 20825, 0), id="gnp20s0-k10-signed"),
         pytest.param(gen_gnp(24, 0.5, 1), 24, Mode.NONNEG, (182237, 0, 45902, 45215, 0), id="gnp24s1-k24-nonneg"),
+        pytest.param(gen_gnp(20, 0.5, 0), 20, Mode.NONNEG, (26781, 1, 6579, 6809, 0), id="gnp20s0-k20-nonneg"),
+        pytest.param(gen_gnp(20, 0.5, 0), 20, Mode.SIGNED, (25089, 0, 7031, 5511, 0), id="gnp20s0-k20-signed"),
+        # k = n where the field width steps from 8 to 9 bits, and a path,
+        # whose leaves need both vertices of N[v] positive in signed mode
+        pytest.param(gen_cycle(63), 63, Mode.NONNEG, (85, 0, 0, 20, 1), id="C63-nonneg"),
+        pytest.param(gen_cycle(64), 64, Mode.NONNEG, (86, 0, 0, 20, 1), id="C64-nonneg"),
+        pytest.param(gen_path(33), 33, Mode.SIGNED, (357, 0, 122, 56, 0), id="P33-signed"),
     ],
 )
 def test_bnb_search_counters_pinned(g, k, mode, counters):
@@ -295,6 +304,21 @@ def test_bnb_optima_match_per_k_solves(g):
             ), (k, mode)
         # the least k is searched exactly as alone
         assert optima[1].stats == solve_bnb(g, 1, mode).stats
+
+
+def test_bnb_answers_k1_at_the_root_on_every_small_graph():
+    # every labelled graph with n <= 5: the optimum 2 c_1 - n, the least
+    # demanding N[v] with positives on its lowest ids, and no search
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            brute = bruteforce_optima_both(g, [1])
+            for mode in Mode:
+                r = solve_bnb(g, 1, mode)
+                assert r.stats == SearchStats()
+                b = brute[mode][1]
+                assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count)
 
 
 def test_bnb_optima_reuse_a_witness_that_satisfies_k():
@@ -373,7 +397,9 @@ def test_bnb_stops_exactly_when_the_optimum_meets_the_stop_weight(n):
             both = bruteforce_optima_both(g, range(1, n + 1))
             for mode in Mode:
                 demands = sorted((g.degree(v) + 2 + mode.threshold) // 2 for v in g.vertices())
-                for k in range(1, n + 1):
+                # k = 1 is answered at the root, with no search to stop
+                assert solve_bnb(g, 1, mode).stats == SearchStats()
+                for k in range(2, n + 1):
                     need = sum(demands[:k])
                     fewest = next(i for i in range(n + 1) if sum(sizes[:i]) >= need)
                     stop = max(2 * fewest - n, 2 * demands[k - 1] - n)

@@ -83,6 +83,14 @@ def test_empty_campaign_does_not_pass():
     assert not report.to_dict()["all_passed"]
 
 
+def test_campaign_counts_the_graphs_without_an_oracle():
+    # C_21 and C_22 are above BRUTE_FORCE_CAP; the count stays out of the
+    # report's dict, so the determinism of criterion 10 reads the same keys
+    report = run_campaign(EnsembleSpec(families=("cycle",), n_max=22), checks=("parity",))
+    assert report.graphs_without_oracle == 2
+    assert "graphs_without_oracle" not in report.to_dict()
+
+
 def test_campaign_check_filter():
     report = run_campaign(SMALL, checks=("degree-identity", "ksub-reduction"))
     assert [c.name for c in report.checks] == ["degree-identity", "ksub-reduction"]
