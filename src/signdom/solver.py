@@ -29,11 +29,14 @@ order, +1 first, accepts ties with the greedy incumbent only until its
 first leaf, and prunes with a residual form of the double counting sum_v
 f(N[v]) = sum_u (d_u+1) f(u): a node is cut when the positives the k
 least demanding vertices still need exceed what the new positives the
-incumbent leaves room for can supply. Its state is two integers with one fixed-width field per
-vertex, so a branch is one subtraction and needs no undo; at k = n the
-positives still needed are a running sum that a +1 child lowers by one
-popcount. It pushes only the -1 child of a node on an explicit stack and
-searches the +1 child in place, so no recursion limit bounds n.
+incumbent leaves room for can supply, and at k = n also when one vertex
+alone still needs more new positives than the incumbent leaves room for.
+Its state is two integers with one fixed-width field per vertex, so a
+branch is one subtraction and needs no undo; at k = n the positives
+still needed are a running sum that a +1 child lowers by one popcount,
+and the largest of them is one add and one AND. It pushes only the -1
+child of a node on an explicit stack and searches the +1 child in place,
+so no recursion limit bounds n.
 """
 
 from __future__ import annotations
@@ -342,7 +345,10 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     pruned when p >= q, that is, when D exceeds the sum of the min(q, |U|)
     largest d_u+1, one read of the ``prefix`` table. At k = n this is the
     paper's cap on negatives: the demands and the negatives N[v] may still
-    take sum to |N[v] & U|.
+    take sum to |N[v] & U|. At k = n every vertex must be satisfied, so a
+    vertex of demand x alone needs x new positives, every leaf below
+    weighs at least floor + 2x, and the node is also pruned when some
+    demand is q or more.
 
     The search state is two integers, ``room`` (negatives N[v] may still
     take) and ``short`` (positives N[v] still lacks), each packing one
@@ -363,14 +369,15 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     positive demands, carried down the search as ``owed``: it starts at
     the sum of the demands, a -1 child keeps it, and a +1 child on v
     lowers it by the number of fields of N[v] with a positive demand, one
-    popcount of bit 2*big of short + big-1 over N[v].
+    popcount of bit 2*big of short + big-1 over N[v]. Some demand is q or
+    more exactly when short + big-q has bit 2*big set in some field.
 
     The bound already has the parity of n. A node is pruned when no
     leaf below it can be accepted: its floor is not below the cutoff
     (``prunes_weight``), fewer than k vertices stay satisfiable
-    (``prunes_satisfiability``), or the residual bound is too high
-    (``prunes_residual``). The search stops once a leaf of the stop weight
-    is accepted (``prunes_global_lb``).
+    (``prunes_satisfiability``), or the residual bound or, at k = n, the
+    largest demand is too high (``prunes_residual``). The search stops
+    once a leaf of the stop weight is accepted (``prunes_global_lb``).
     """
     n = graph.vertex_count
     ks = check_ks(n, ks)
@@ -391,7 +398,9 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     room0 = top + sum([f * ((s - tau) // 2) for f, s in zip(field, size)])
     short0 = top + sum(map(mul, field, lacks))
     # adds[x] lifts a short field to 2*big or more exactly when its demand > x.
-    adds = [one * (big - 1 - x) for x in range(max(lacks))]
+    deepest = max(lacks)
+    adds = [one * (big - 1 - x) for x in range(deepest)]
+    top2 = top << 1  # bit 2*big of every field
     nbhi = [b << (n.bit_length() + 1) for b in nb]  # bit 2*big of each field of N[v]
     # prefix[depth]: prefix sums of d_u + 1 over the unassigned u >= depth,
     # largest first, built from the last vertex back.
@@ -421,8 +430,9 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
         # and 2 * ranked[k - 1] - n, since some satisfied vertex lacks at
         # least the k-th smallest demand. It only ends the search, so the
         # search visits the same nodes as without it until the stop fires.
-        # Pruning with it at every node would cut far more nodes but change
-        # every search (ROADMAP item 5).
+        # At k = n the search also prunes every node at its largest demand;
+        # below k = n, pruning with the k-th demand at every node would cut
+        # far more nodes but change every search (ROADMAP item 5).
         stop = max(2 * bisect_left(prefix[0], sum(ranked[:k])) - n, 2 * ranked[k - 1] - n)
         if last is not None:
             stop = max(stop, last.optimum)
@@ -439,8 +449,9 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
             if alive < k:
                 prunes_s += 1
                 continue
-            spare = alive - k  # satisfiable vertices the k smallest demands leave out
-            live <<= 1
+            if not full:
+                spare = alive - k  # satisfiable vertices the k smallest demands leave out
+                live <<= 1
             # descend to each +1 child in place: room, so alive and spare, carry over
             while True:
                 if v == n:
@@ -455,8 +466,13 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
                 if floor >= cutoff:
                     prunes_w += 1
                     break
-                # prune when D needs more than q of the largest d_u + 1
                 q = (cutoff - floor + 1) >> 1
+                # at k = n every vertex must be satisfied, so a vertex that
+                # still lacks q positives alone puts every leaf below at cutoff
+                if full and q <= deepest and (short + adds[q - 1]) & top2:
+                    prunes_r += 1
+                    break
+                # prune when D needs more than q of the largest d_u + 1
                 cover = prefix[v]
                 most = cover[q - 1] if q <= n - v else cover[-1]
                 if full:

@@ -2,7 +2,8 @@
 
 These recompute optima and bound ceilings by the most literal method
 available (full enumeration with itertools.product, rational square-root
-bracketing) and deliberately share no code with the package's bitset
+bracketing, a 0/1 program for SciPy's HiGHS above the enumeration's
+reach) and deliberately share no code with the package's bitset
 enumeration, branch-and-bound, or parity-based ceiling tricks.
 """
 
@@ -104,4 +105,64 @@ def greedy_sweep(graph: Graph, k: int, mode: Mode) -> tuple[int, ...]:
             for u in closed:
                 sums[u] -= 2
             satisfied -= lost
+    return tuple(signs)
+
+
+def _milp_program(graph: Graph, k: int, mode: Mode, weight: int | None = None):
+    """The 0/1 program over (x, s) as SciPy's ``milp`` and its constraint.
+    SciPy is imported here, so only its callers need it.
+
+    x_v = 1 marks a negative vertex and s_v = 1 a satisfied one. Vertex v
+    is satisfied when 2 * |N[v] & negatives| <= d_v + 1 - tau; the term
+    (d_v + 1 + tau) * (1 - s_v) relaxes that row fully when s_v = 0. One
+    row asks for at least k satisfied vertices and, when ``weight`` is
+    given, one fixes the number of negatives to match it.
+    """
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+
+    n, tau = graph.vertex_count, mode.threshold
+    rows = n + 1 + (weight is not None)
+    a = np.zeros((rows, 2 * n))
+    lower, upper = np.full(rows, -np.inf), np.full(rows, np.inf)
+    for v in graph.vertices():
+        closed = [v, *graph.adjacency[v]]
+        a[v, closed] = 2
+        a[v, n + v] = len(closed) + tau
+        upper[v] = 2 * len(closed)
+    a[n, n:] = 1
+    lower[n] = k
+    if weight is not None:
+        a[n + 1, :n] = 1
+        lower[n + 1] = upper[n + 1] = (n - weight) // 2
+    return milp, LinearConstraint(a, lower, upper)
+
+
+def milp_optimum(graph: Graph, k: int, mode: Mode) -> int:
+    """Optimum of the 0/1 program, solved by SciPy's HiGHS."""
+    milp, constraint = _milp_program(graph, k, mode)
+    n = graph.vertex_count
+    res = milp([-2.0] * n + [0.0] * n, constraints=constraint, integrality=[1] * (2 * n), bounds=(0, 1))
+    assert res.success, res.message
+    return n + round(res.fun)
+
+
+def milp_lexmin_witness(graph: Graph, k: int, mode: Mode, optimum: int) -> tuple[int, ...]:
+    """Lexicographically smallest (+1 < -1, vertex 0 first) sign vector of
+    weight ``optimum`` that satisfies at least k vertices, by fixing one
+    vertex at a time and asking the 0/1 program whether a completion
+    exists."""
+    milp, constraint = _milp_program(graph, k, mode, weight=optimum)
+    n = graph.vertex_count
+    lo, hi = [0] * (2 * n), [1] * (2 * n)
+    signs = []
+    for v in range(n):
+        hi[v] = 0  # try +1 at v
+        res = milp([0.0] * (2 * n), constraints=constraint, integrality=[1] * (2 * n), bounds=(lo, hi))
+        if res.status == 0:
+            signs.append(1)
+        else:
+            assert res.status == 2, res.message  # infeasible: v must be -1
+            hi[v] = lo[v] = 1
+            signs.append(-1)
     return tuple(signs)

@@ -176,13 +176,15 @@ def test_default_campaign_search_nodes_are_pinned():
     # The battery's searches, one bnb_optima call per graph and mode. The
     # stop at the k-th smallest demand saves a third of them: without it
     # the total is 126,563 (47,840 of them at k = 1). Answering k = 1 at
-    # the root, with no search, saves the other 19,399 (81,091 before).
+    # the root, with no search, saves the other 19,399 (81,091 before),
+    # and pruning every k = n node at its largest unmet demand saves
+    # 4,620 more (61,692 before).
     total = 0
     for _, graph in build_ensemble(EnsembleSpec()):
         ks = _k_values(graph.vertex_count, "default")
         for mode in Mode:
             total += sum(r.stats.nodes for r in bnb_optima(graph, mode, ks).values())
-    assert total == 61_692
+    assert total == 57_072
 
 
 def test_criterion_10_determinism(default_campaign):

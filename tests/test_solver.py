@@ -32,7 +32,7 @@ from signdom import (
 )
 from signdom import solver
 
-from oracles import greedy_sweep, naive_closed_sums, naive_minimum
+from oracles import greedy_sweep, milp_lexmin_witness, milp_optimum, naive_closed_sums, naive_minimum
 from strategies import graphs, sign_vectors
 
 
@@ -203,9 +203,11 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
 
 
 # (nodes, prunes_weight, prunes_satisfiability, prunes_residual,
-# prunes_global_lb), recorded from the list-based search state that the
-# packed one replaced: the search must stay the same node for node. k = 1
-# is answered at the root with no search, so its rows count nothing.
+# prunes_global_lb). The k < n rows were recorded from the list-based
+# search state that the packed one replaced, and the search must stay
+# the same there node for node; the k = n rows, from the search that
+# also prunes every node at its largest unmet demand. k = 1 is answered
+# at the root with no search, so its rows count nothing.
 @pytest.mark.parametrize(
     "g, k, mode, counters",
     [
@@ -227,19 +229,19 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
         pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.NONNEG, (0, 0, 0, 0, 0), id="gnp16s1-k1-nonneg"),
         pytest.param(gen_gnp(16, 0.5, 1), 1, Mode.SIGNED, (0, 0, 0, 0, 0), id="gnp16s1-k1-signed"),
         # dense searches at k = n (the solve-full shape) and one at k = n/2
-        pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.NONNEG, (3849, 0, 955, 968, 0), id="gnp16s0-k16-nonneg"),
-        pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.SIGNED, (618, 0, 164, 139, 1), id="gnp16s0-k16-signed"),
-        pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.NONNEG, (1071, 1, 257, 276, 0), id="gnp16s1-k16-nonneg"),
-        pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.SIGNED, (1791, 1, 503, 390, 0), id="gnp16s1-k16-signed"),
+        pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.NONNEG, (1643, 0, 372, 448, 0), id="gnp16s0-k16-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 0), 16, Mode.SIGNED, (316, 0, 73, 79, 1), id="gnp16s0-k16-signed"),
+        pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.NONNEG, (477, 1, 122, 114, 0), id="gnp16s1-k16-nonneg"),
+        pytest.param(gen_gnp(16, 0.5, 1), 16, Mode.SIGNED, (1155, 1, 314, 261, 0), id="gnp16s1-k16-signed"),
         pytest.param(gen_gnp(20, 0.5, 0), 10, Mode.SIGNED, (69209, 2, 13776, 20825, 0), id="gnp20s0-k10-signed"),
-        pytest.param(gen_gnp(24, 0.5, 1), 24, Mode.NONNEG, (182237, 0, 45902, 45215, 0), id="gnp24s1-k24-nonneg"),
-        pytest.param(gen_gnp(20, 0.5, 0), 20, Mode.NONNEG, (26781, 1, 6579, 6809, 0), id="gnp20s0-k20-nonneg"),
-        pytest.param(gen_gnp(20, 0.5, 0), 20, Mode.SIGNED, (25089, 0, 7031, 5511, 0), id="gnp20s0-k20-signed"),
+        pytest.param(gen_gnp(24, 0.5, 1), 24, Mode.NONNEG, (39451, 0, 9382, 10342, 0), id="gnp24s1-k24-nonneg"),
+        pytest.param(gen_gnp(20, 0.5, 0), 20, Mode.NONNEG, (8001, 1, 1633, 2365, 0), id="gnp20s0-k20-nonneg"),
+        pytest.param(gen_gnp(20, 0.5, 0), 20, Mode.SIGNED, (11057, 0, 2828, 2698, 0), id="gnp20s0-k20-signed"),
         # k = n where the field width steps from 8 to 9 bits, and a path,
         # whose leaves need both vertices of N[v] positive in signed mode
         pytest.param(gen_cycle(63), 63, Mode.NONNEG, (85, 0, 0, 20, 1), id="C63-nonneg"),
         pytest.param(gen_cycle(64), 64, Mode.NONNEG, (86, 0, 0, 20, 1), id="C64-nonneg"),
-        pytest.param(gen_path(33), 33, Mode.SIGNED, (357, 0, 122, 56, 0), id="P33-signed"),
+        pytest.param(gen_path(33), 33, Mode.SIGNED, (337, 0, 112, 56, 0), id="P33-signed"),
     ],
 )
 def test_bnb_search_counters_pinned(g, k, mode, counters):
@@ -306,19 +308,52 @@ def test_bnb_optima_match_per_k_solves(g):
         assert optima[1].stats == solve_bnb(g, 1, mode).stats
 
 
+def _labelled_graphs(n_max):
+    """Every labelled graph on 1..n_max vertices."""
+    for n in range(1, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
 def test_bnb_answers_k1_at_the_root_on_every_small_graph():
     # every labelled graph with n <= 5: the optimum 2 c_1 - n, the least
     # demanding N[v] with positives on its lowest ids, and no search
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
-            brute = bruteforce_optima_both(g, [1])
-            for mode in Mode:
-                r = solve_bnb(g, 1, mode)
-                assert r.stats == SearchStats()
-                b = brute[mode][1]
-                assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count)
+    for g in _labelled_graphs(5):
+        brute = bruteforce_optima_both(g, [1])
+        for mode in Mode:
+            r = solve_bnb(g, 1, mode)
+            assert r.stats == SearchStats()
+            b = brute[mode][1]
+            assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count)
+
+
+def test_bnb_matches_the_oracle_at_k_equals_n_on_every_small_graph():
+    # every labelled graph with n <= 5: the prune at the largest unmet
+    # demand cuts no node with an acceptable leaf below it
+    for g in _labelled_graphs(5):
+        n = g.vertex_count
+        brute = bruteforce_optima_both(g, [n])
+        for mode in Mode:
+            r = solve_bnb(g, n, mode)
+            b = brute[mode][n]
+            assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count), (
+                g.edges(),
+                mode,
+            )
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [24, 28])
+def test_bnb_matches_the_milp_above_the_brute_force_cap(n, mode):
+    # dense full domination, past the n <= 20 reach of enumeration: the
+    # optimum and the canonical witness of an independent 0/1 program
+    pytest.importorskip("scipy")
+    g = gen_gnp(n, 0.5, 1)
+    r = solve_bnb(g, n, mode)
+    optimum = milp_optimum(g, n, mode)
+    assert r.optimum == optimum
+    assert r.witness.values == milp_lexmin_witness(g, n, mode, optimum)
 
 
 def test_bnb_optima_reuse_a_witness_that_satisfies_k():
