@@ -140,6 +140,11 @@ def gen(family, graph_format, output, **given):
         graph = build(*(given[name] for name in reads))
     except ValueError as e:
         raise click.UsageError(str(e))
+    if graph_format == "edgelist" and graph.vertex_count and not graph.adjacency[-1]:
+        raise click.UsageError(
+            f"vertex {graph.vertex_count - 1} has no edges, so an edge list would drop it;"
+            " use --graph-format dimacs"
+        )
     text = to_dimacs(graph) if graph_format == "dimacs" else to_edge_list(graph)
     _emit(text, output)
 

@@ -13,7 +13,9 @@ import signdom.verify as verify_mod
 from signdom import (
     Mode,
     exact_cycle_signed,
+    gen_complete,
     gen_gnp,
+    gen_path,
     gen_sun,
     parse_dimacs,
     parse_edge_list,
@@ -60,6 +62,29 @@ def test_gen_dimacs_format(runner):
     result = invoke(runner, "gen", "hajos", "--graph-format", "dimacs")
     assert result.output.startswith("p edge 6 9\n")
     assert parse_dimacs(result.output).edge_count == 9
+
+
+@pytest.mark.parametrize(
+    "args, graph",
+    [
+        (("gnp", "--n", "8", "--p", "0.15", "--seed", "2"), gen_gnp(8, 0.15, 2)),
+        (("gnp", "--n", "8", "--p", "0.15", "--seed", "6"), gen_gnp(8, 0.15, 6)),
+        (("path", "--n", "1"), gen_path(1)),
+        (("complete", "--n", "1"), gen_complete(1)),
+    ],
+    ids=["gnp8s2", "gnp8s6", "P1", "K1"],
+)
+def test_gen_refuses_an_edge_list_that_drops_its_last_vertex(runner, tmp_path, args, graph):
+    # an edge list's order is 1 + its largest id, so a last vertex with no
+    # edges would be lost and `solve` would read a smaller graph
+    assert not graph.adjacency[-1]
+    out = tmp_path / "g.gr"
+    result = runner.invoke(main, ["gen", *args, "-o", str(out)])
+    assert result.exit_code == 2
+    assert "--graph-format dimacs" in result.output
+    assert not out.exists()
+    result = invoke(runner, "gen", *args, "--graph-format", "dimacs")
+    assert parse_dimacs(result.output) == graph
 
 
 def test_gen_missing_parameter_is_usage_error(runner):

@@ -41,6 +41,36 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_every_entry_point_refuses_a_broken_graph_alike():
+    """Each simple-graph rule has one home: a negative order, a self-loop
+    and a repeated edge get the same message from each entry point that
+    can express them."""
+    cases = [
+        ("vertex_count must be nonnegative", [
+            lambda: Graph(-1, ()),
+            lambda: Graph.from_edges(-1, []),
+            lambda: gen_complete(-1),
+            lambda: gen_gnp(-1, 0.5, 0),
+        ]),
+        ("self-loop at vertex 1", [
+            lambda: Graph(3, (frozenset(), frozenset({1}), frozenset())),
+            lambda: Graph.from_edges(3, [(0, 2), (1, 1)]),
+            lambda: parse_edge_list("0 2\n1 1\n"),
+            lambda: parse_dimacs("p edge 3 2\ne 1 3\ne 2 2\n"),
+        ]),
+        ("duplicate edge (0, 1)", [
+            lambda: Graph.from_edges(2, [(1, 0), (0, 1)]),
+            lambda: parse_edge_list("0 1\n1 0\n"),
+            lambda: parse_dimacs("p edge 2 2\ne 2 1\ne 2 1\n"),
+        ]),
+    ]
+    for message, calls in cases:
+        for call in calls:
+            with pytest.raises(GraphValidationError) as info:
+                call()
+            assert str(info.value) == message
+
+
 def test_constructor_rejects_asymmetric_adjacency():
     with pytest.raises(GraphValidationError, match="asymmetric"):
         Graph(2, (frozenset({1}), frozenset()))

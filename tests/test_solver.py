@@ -242,6 +242,12 @@ def test_bnb_matches_bruteforce_on_packing_edges(g):
         pytest.param(gen_cycle(63), 63, Mode.NONNEG, (85, 0, 0, 20, 1), id="C63-nonneg"),
         pytest.param(gen_cycle(64), 64, Mode.NONNEG, (86, 0, 0, 20, 1), id="C64-nonneg"),
         pytest.param(gen_path(33), 33, Mode.SIGNED, (337, 0, 112, 56, 0), id="P33-signed"),
+        # sparse k < n, where the demand scan keeps the search small: a
+        # per-node k-th-demand test alone takes sun(10) to 56,196,393 nodes
+        pytest.param(gen_sun(10), 20, Mode.NONNEG, (190577, 27, 43, 95217, 0), id="sun10-k20-nonneg"),
+        pytest.param(gen_circulant(40, (1, 2)), 20, Mode.NONNEG, (50525, 19, 665, 24577, 0), id="circ40-k20-nonneg"),
+        pytest.param(gen_cycle(60), 30, Mode.SIGNED, (4575, 29, 46, 2211, 0), id="C60-k30-signed"),
+        pytest.param(gen_path(40), 20, Mode.NONNEG, (1925, 19, 28, 914, 0), id="P40-k20-nonneg"),
     ],
 )
 def test_bnb_search_counters_pinned(g, k, mode, counters):
@@ -328,19 +334,22 @@ def test_bnb_answers_k1_at_the_root_on_every_small_graph():
             assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count)
 
 
-def test_bnb_matches_the_oracle_at_k_equals_n_on_every_small_graph():
-    # every labelled graph with n <= 5: the prune at the largest unmet
-    # demand cuts no node with an acceptable leaf below it
+def test_bnb_matches_the_oracle_at_every_k_on_every_small_graph():
+    # every labelled graph with n <= 5 and every k, each solved alone: the
+    # k < n demand scan and the k = n prune at the largest unmet demand cut
+    # no node with an acceptable leaf below it
     for g in _labelled_graphs(5):
         n = g.vertex_count
-        brute = bruteforce_optima_both(g, [n])
+        brute = bruteforce_optima_both(g, range(1, n + 1))
         for mode in Mode:
-            r = solve_bnb(g, n, mode)
-            b = brute[mode][n]
-            assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count), (
-                g.edges(),
-                mode,
-            )
+            for k in range(1, n + 1):
+                r = solve_bnb(g, k, mode)
+                b = brute[mode][k]
+                assert (r.optimum, r.witness, r.satisfied_count) == (b.optimum, b.witness, b.satisfied_count), (
+                    g.edges(),
+                    k,
+                    mode,
+                )
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
