@@ -13,7 +13,7 @@ a {-1,+1} assignment on n vertices is congruent to n mod 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -246,7 +246,7 @@ def bound_reports(profile: DegreeProfile, connected: bool, ks: Iterable[int]) ->
     }
     below = {}  # the same values at k < n, where none applies
     if ks and ks[0] < n:
-        below = {name: replace(b, applicable=False) for name, b in full.items()}
+        below = {name: BoundValue(b.raw, b.ceil, b.parity_lifted, False) for name, b in full.items()}
     reports: dict[int, BoundReport] = {}
     for k in ks:
         bounds = dict(full if k == n else below)

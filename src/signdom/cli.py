@@ -223,19 +223,21 @@ _SPEC = verify_mod.EnsembleSpec  # the one home of verify's ensemble defaults
               show_default=True, help="k sweep: {1, ceil(n/2), n} or all of 1..n.")
 @click.option("--seed", type=int, default=_SPEC.base_seed, show_default=True,
               help="Base seed of the G(n,p) draws.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Parallel graph workers.")
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Worker processes, each building and checking one ensemble slice at a time "
+                   "(a named family, or up to 16 seeds of a G(n,p) cell); at most one per slice.")
 @click.option("--format", "fmt", type=click.Choice(["text", "jsonl"]), default="text", show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here.")
 def verify(families, n_min, n_max, p_values, seeds, checks, k_policy, seed, workers, fmt, output):
     """Run invariant checks over a reproducible ensemble; exit 1 on failure."""
     if "gnp" not in families:
         _reject_unread({"n_min", "p_values", "seeds", "seed"}, "without --family gnp")
-    spec = _SPEC(families=families, n_min=n_min, n_max=n_max, p_values=p_values,
-                 seeds_per_cell=seeds, base_seed=seed)
     # a campaign may run long: refuse a path _emit cannot write before it starts
     if output and not Path(output).parent.is_dir():
         raise click.UsageError(f"cannot write {output}: no directory {Path(output).parent}")
     try:
+        spec = _SPEC(families=families, n_min=n_min, n_max=n_max, p_values=p_values,
+                     seeds_per_cell=seeds, base_seed=seed)
         report = verify_mod.run_campaign(
             spec,
             k_policy=k_policy,

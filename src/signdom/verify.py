@@ -2,18 +2,21 @@
 reproducible graph ensemble and report failures with replayable
 counterexamples.
 
-A campaign is deterministic given its ensemble description and seed;
-graphs are processed independently (optionally in parallel) and results
-are aggregated in a fixed order, so reports are byte-identical across
-runs and worker counts, up to the timestamp field.
+A campaign is deterministic given its ensemble description and seed. It
+cuts the ensemble into slices (a named family, or a run of at most 16
+seeds of one G(n, p) cell); each slice is built and checked on its own,
+optionally in a worker process, and the slices' tallies are merged in
+ensemble order, so reports are byte-identical across runs and worker
+counts, up to the timestamp field, and no process holds the whole
+ensemble.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Iterator
 
 from . import bounds as bounds_mod
 from .graph import (
@@ -69,7 +72,8 @@ CHECK_NAMES = (
 
 _SOLVE_CHECKS = frozenset(CHECK_NAMES) - {"degree-identity", "ksub-reduction"}
 
-# A worker pool hands out graphs this many at a time.
+# A slice of the ensemble holds at most this many seeds of one G(n, p)
+# cell; it is the unit a campaign builds, checks and sends to a worker.
 _CHUNK = 16
 
 # A report lists at most this many counterexamples per check; the failed
@@ -94,20 +98,23 @@ class EnsembleSpec:
     seeds_per_cell: int = 50
     base_seed: int = 0
 
+    def __post_init__(self) -> None:
+        for family in self.families:
+            if family not in FAMILIES:
+                raise ValueError(f"unknown family {family!r}")
+        if self.n_min < 1:
+            raise ValueError(f"n_min must be >= 1, got {self.n_min}")
+        if self.seeds_per_cell < 0:
+            raise ValueError(f"seeds_per_cell must be >= 0, got {self.seeds_per_cell}")
+
     def describe(self) -> dict[str, object]:
         return dict(vars(self), families=list(self.families), p_values=list(map(repr, self.p_values)))
 
 
 def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
-    """Deterministic (label, graph) list: named families first, then the
-    connected G(n, p) draws ordered by (n, p, seed)."""
-    for family in spec.families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-    if spec.n_min < 1:
-        raise ValueError(f"n_min must be >= 1, got {spec.n_min}")
-    if spec.seeds_per_cell < 0:
-        raise ValueError(f"seeds_per_cell must be >= 0, got {spec.seeds_per_cell}")
+    """Deterministic (label, graph) list: named families first, in the
+    order of ``FAMILIES``, then the connected G(n, p) draws ordered by
+    (n, p, seed)."""
     out: list[tuple[str, Graph]] = []
     if "complete" in spec.families:
         out.extend((f"complete(n={n})", gen_complete(n)) for n in range(1, spec.n_max + 1))
@@ -132,6 +139,22 @@ def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
                     graph = gen_gnp(n, p, seed)
                     if is_connected(graph):
                         out.append((f"gnp(n={n},p={p!r},seed={seed})", graph))
+    return out
+
+
+def _slices(spec: EnsembleSpec) -> list[EnsembleSpec]:
+    """``spec`` cut into specs whose ensembles, concatenated in list order,
+    are ``build_ensemble(spec)``: one per named family, then one per
+    G(n, p) cell and run of at most ``_CHUNK`` seeds."""
+    out = [replace(spec, families=(f,)) for f in FAMILIES if f != "gnp" and f in spec.families]
+    if "gnp" in spec.families:
+        out.extend(
+            replace(spec, families=("gnp",), n_min=n, n_max=n, p_values=(p,),
+                    seeds_per_cell=min(_CHUNK, spec.seeds_per_cell - j), base_seed=spec.base_seed + j)
+            for n in range(spec.n_min, spec.n_max + 1)
+            for p in spec.p_values
+            for j in range(0, spec.seeds_per_cell, _CHUNK)
+        )
     return out
 
 
@@ -201,13 +224,14 @@ def _k_values(n: int, k_policy: str) -> tuple[int, ...]:
 
 
 class _Tally:
-    """Per-graph pass/fail accumulator shared by all checks."""
+    """Pass/fail accumulator of one graph, shared by all checks; it counts
+    into ``results``, one per active check, which every graph of a slice
+    shares."""
 
-    def __init__(self, label: str, graph: Graph, active: frozenset[str]):
+    def __init__(self, label: str, graph: Graph, results: dict[str, CheckResult]):
         self.label = label
         self.graph = graph  # rendered as DIMACS only for a counterexample
-        self.active = active
-        self.results: dict[str, CheckResult] = {name: CheckResult(name) for name in active}
+        self.results = results
 
     def record(
         self,
@@ -221,9 +245,9 @@ class _Tally:
         """Count one result of ``check``. ``shown`` returns the observed
         and expected values; it is called, and its values rendered with
         str(), only for a failed result."""
-        if check not in self.active:
+        result = self.results.get(check)
+        if result is None:  # not an active check
             return
-        result = self.results[check]
         if ok:
             result.passed += 1
         else:
@@ -300,10 +324,11 @@ def _degree_inequality_subdomination(
 
 
 def _graph_battery(
-    args: tuple[str, Graph, tuple[int, ...], frozenset[str]]
-) -> list[CheckResult]:
-    label, graph, ks, active = args
-    tally = _Tally(label, graph, active)
+    label: str, graph: Graph, ks: tuple[int, ...], results: dict[str, CheckResult]
+) -> None:
+    """Run every active check on one graph, counting into ``results``."""
+    tally = _Tally(label, graph, results)
+    active = results.keys()
     profile = degree_profile(graph)
     n = graph.vertex_count
     connected = is_connected(graph)
@@ -327,7 +352,7 @@ def _graph_battery(
     )
 
     if not (_SOLVE_CHECKS & active):
-        return sorted(tally.results.values(), key=lambda r: r.name)
+        return
 
     oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_FORCE_CAP else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
@@ -455,7 +480,36 @@ def _graph_battery(
                 k=k,
             )
 
-    return sorted(tally.results.values(), key=lambda r: r.name)
+
+def _slice_battery(
+    task: tuple[EnsembleSpec, str, frozenset[str]]
+) -> tuple[int, int, list[CheckResult]]:
+    """Build one slice of the ensemble and check each of its graphs: its
+    graph count, its count of graphs above ``BRUTE_FORCE_CAP`` and one
+    result per active check, in name order."""
+    spec, k_policy, active = task
+    results = {name: CheckResult(name) for name in sorted(active)}
+    ensemble = build_ensemble(spec)
+    for label, graph in ensemble:
+        _graph_battery(label, graph, _k_values(graph.vertex_count, k_policy), results)
+    above = sum(graph.vertex_count > BRUTE_FORCE_CAP for _, graph in ensemble)
+    return len(ensemble), above, list(results.values())
+
+
+def _replies(
+    tasks: list[tuple[EnsembleSpec, str, frozenset[str]]], workers: int
+) -> Iterator[tuple[int, int, list[CheckResult]]]:
+    """``_slice_battery`` of each task, in task order, on a pool of
+    ``workers`` processes, or in this process at 1 worker or none."""
+    if workers < 2:
+        yield from map(_slice_battery, tasks)
+        return
+    # imported here: loading the pool machinery costs every `import signdom`
+    # a third of its time, and only a pooled campaign needs it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_slice_battery, tasks)
 
 
 def run_campaign(
@@ -469,10 +523,12 @@ def run_campaign(
     Every graph is solved by branch-and-bound, one call per mode for all
     of its k; graphs with at most ``BRUTE_FORCE_CAP`` (20) vertices are
     also solved by one exhaustive enumeration for both modes, the oracle
-    of the oracle-equivalence check. ``workers`` > 1 distributes graphs
-    over a process pool of at most one worker per 16-graph chunk, and a
-    single chunk runs in-process; aggregation order is fixed by the
-    ensemble order either way.
+    of the oracle-equivalence check. The ensemble is cut into slices (a
+    named family, or at most 16 seeds of one G(n, p) cell), and each
+    slice is built, checked and tallied on its own, so memory does not
+    grow with the ensemble. ``workers`` > 1 hands the slices to a
+    process pool of at most one worker per slice, and a single slice
+    runs in-process; the tallies are merged in ensemble order either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -484,40 +540,28 @@ def run_campaign(
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     active = frozenset(names)
 
-    ensemble = build_ensemble(spec)
-    tasks = [
-        (label, graph, _k_values(graph.vertex_count, k_policy), active)
-        for label, graph in ensemble
-    ]
-
-    merged: dict[str, CheckResult] = {name: CheckResult(name) for name in sorted(active)}
-    # a worker beyond the number of chunks would start and get no work
-    workers = min(workers, -(-len(tasks) // _CHUNK))
-    if workers > 1:
-        # imported here: loading the pool machinery costs every
-        # `import signdom` a third of its time, and only this branch needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_graph_battery, tasks, chunksize=_CHUNK))
-    else:
-        batches = [_graph_battery(task) for task in tasks]
-    for batch in batches:
-        for result in batch:
+    tasks = [(part, k_policy, active) for part in _slices(spec)]
+    merged = {name: CheckResult(name) for name in sorted(active)}
+    graph_count = without_oracle = 0
+    # a worker beyond the number of slices would start and get no work
+    for count, above, results in _replies(tasks, min(workers, len(tasks))):
+        graph_count += count
+        without_oracle += above
+        for result in results:
             target = merged[result.name]
             target.passed += result.passed
             target.failed += result.failed
             target.counterexamples.extend(result.counterexamples)
 
-    checks_out = [merged[name] for name in sorted(merged)]
+    checks_out = list(merged.values())
     recorded = sum(c.passed + c.failed for c in checks_out)
     return CampaignReport(
         ensemble=spec.describe(),
         k_policy=k_policy,
-        graph_count=len(ensemble),
+        graph_count=graph_count,
         checks=checks_out,
         checks_recorded=recorded,
-        graphs_without_oracle=sum(g.vertex_count > BRUTE_FORCE_CAP for _, g in ensemble),
+        graphs_without_oracle=without_oracle,
         # a campaign that recorded no result has shown nothing, so it fails
         all_passed=recorded > 0 and all(c.failed == 0 for c in checks_out),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

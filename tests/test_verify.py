@@ -23,7 +23,7 @@ from signdom import (
     run_campaign,
     solve_bruteforce,
 )
-from signdom.verify import MAX_COUNTEREXAMPLES, _k_values
+from signdom.verify import MAX_COUNTEREXAMPLES, _k_values, _slices
 
 from oracles import naive_closed_sums
 
@@ -146,7 +146,7 @@ def test_campaign_deterministic_up_to_timestamp():
 
 def test_campaign_parallel_matches_sequential():
     spec = EnsembleSpec(families=("cycle", "path", "complete"), n_max=9)
-    assert len(build_ensemble(spec)) > 16  # more than one chunk, so a real pool runs
+    assert len(_slices(spec)) > 1  # more than one slice, so a real pool runs
     a = run_campaign(spec, workers=1).to_dict()
     b = run_campaign(spec, workers=2).to_dict()
     a.pop("generated_at")
@@ -157,17 +157,19 @@ def test_campaign_parallel_matches_sequential():
 @pytest.mark.parametrize(
     "spec, workers, pool_size",
     [
-        (EnsembleSpec(families=("cycle",), n_max=4), 6, None),  # 2 graphs: one chunk, no pool
-        (EnsembleSpec(families=("gnp",), n_max=5, p_values=(0.5, 0.8), seeds_per_cell=10), 6, 3),
+        # 17 graphs, more than a slice holds of G(n, p), in one slice: no pool
+        (EnsembleSpec(families=("path",), n_max=17), 6, None),
+        # one cell of 40 seeds: slices of 16, 16 and 8 seeds
+        (EnsembleSpec(families=("gnp",), n_min=5, n_max=5, p_values=(0.5,), seeds_per_cell=40), 6, 3),
         (EnsembleSpec(families=("gnp",), n_max=5, p_values=(0.5, 0.8), seeds_per_cell=20), 2, 2),
     ],
 )
 def test_worker_pool_is_capped_by_the_chunks(monkeypatch, spec, workers, pool_size):
     import concurrent.futures
 
-    sizes = []
+    sizes, sent = [], []
 
-    class InProcessPool:  # records its size and starts no process
+    class InProcessPool:  # records its size and its tasks, and starts no process
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -177,17 +179,82 @@ def test_worker_pool_is_capped_by_the_chunks(monkeypatch, spec, workers, pool_si
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            assert chunksize == 16
+        def map(self, fn, tasks):  # no chunksize: a task is already one slice
+            tasks = list(tasks)
+            sent.append(len(tasks))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     pooled = run_campaign(spec, workers=workers).to_dict()
     assert sizes == ([] if pool_size is None else [pool_size])
+    assert sent == ([] if pool_size is None else [len(_slices(spec))])
+    assert all(size <= count for size, count in zip(sizes, sent))  # no idle worker
     sequential = run_campaign(spec, workers=1).to_dict()
     pooled.pop("generated_at")
     sequential.pop("generated_at")
     assert pooled == sequential
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnsembleSpec(seeds_per_cell=0),
+        EnsembleSpec(seeds_per_cell=1),
+        EnsembleSpec(seeds_per_cell=16),
+        EnsembleSpec(seeds_per_cell=17),
+        EnsembleSpec(seeds_per_cell=37),
+        EnsembleSpec(base_seed=5),
+        EnsembleSpec(n_min=3),
+        EnsembleSpec(families=("hajos", "gnp", "path"), n_max=7),  # a subset, out of order
+        EnsembleSpec(families=("gnp",)),
+        EnsembleSpec(families=tuple(f for f in EnsembleSpec().families if f != "gnp")),
+    ],
+)
+def test_slices_concatenate_to_the_ensemble(spec):
+    parts = [build_ensemble(part) for part in _slices(spec)]
+    joined = [item for part in parts for item in part]
+    whole = build_ensemble(spec)
+    assert [label for label, _ in joined] == [label for label, _ in whole]
+    assert [graph.adjacency for _, graph in joined] == [graph.adjacency for _, graph in whole]
+    assert all(sum(label.startswith("gnp(") for label, _ in part) <= 16 for part in parts)
+
+
+def test_default_ensemble_is_78_slices_of_at_most_16_graphs():
+    parts = [build_ensemble(part) for part in _slices(EnsembleSpec())]
+    assert len(parts) == 78
+    assert max(map(len, parts)) <= 16
+
+
+def test_campaign_builds_one_slice_at_a_time(monkeypatch):
+    real = verify_mod.build_ensemble
+    lengths = []
+
+    def recording(spec):
+        ensemble = real(spec)
+        lengths.append(len(ensemble))
+        return ensemble
+
+    monkeypatch.setattr(verify_mod, "build_ensemble", recording)
+    spec = EnsembleSpec(families=("gnp",), seeds_per_cell=50)
+    report = run_campaign(spec, checks=("degree-identity",), workers=1)
+    assert max(lengths) <= 16
+    assert sum(lengths) == report.graph_count > 16
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"families": ("petersen",)}, "unknown family 'petersen'"),
+        ({"n_min": 0}, "n_min must be >= 1, got 0"),
+        ({"seeds_per_cell": -1}, "seeds_per_cell must be >= 0, got -1"),
+    ],
+)
+def test_campaign_refuses_a_bad_spec_when_made_or_replaced(field, message):
+    # each slice is made by dataclasses.replace, so the rules hold for it too
+    with pytest.raises(ValueError, match=message):
+        run_campaign(EnsembleSpec(**field))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(EnsembleSpec(), **field)
 
 
 def test_import_loads_no_process_pool_or_hashlib():
