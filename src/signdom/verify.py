@@ -83,12 +83,13 @@ MAX_COUNTEREXAMPLES = 20
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which graphs a campaign runs on.
+    """Which graphs a campaign runs on; ``_slices`` gives their order.
 
     The n range and p values parameterize the seeded G(n, p) cells
     (``seeds_per_cell`` seeds each, numbered from ``base_seed``;
     disconnected draws are discarded). Named families are bounded by
-    ``n_max`` only.
+    ``n_max`` only. Every rule on the fields is checked when a spec is
+    made or replaced, so a bad spec is refused before any slice runs.
     """
 
     families: tuple[str, ...] = tuple(FAMILIES)
@@ -106,46 +107,17 @@ class EnsembleSpec:
             raise ValueError(f"n_min must be >= 1, got {self.n_min}")
         if self.seeds_per_cell < 0:
             raise ValueError(f"seeds_per_cell must be >= 0, got {self.seeds_per_cell}")
+        if not all(0.0 <= p <= 1.0 for p in self.p_values):  # NaN too
+            raise ValueError("p must lie in [0, 1]")  # gen_gnp's rule, before any slice runs
 
     def describe(self) -> dict[str, object]:
         return dict(vars(self), families=list(self.families), p_values=list(map(repr, self.p_values)))
 
 
-def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
-    """Deterministic (label, graph) list: named families first, in the
-    order of ``FAMILIES``, then the connected G(n, p) draws ordered by
-    (n, p, seed)."""
-    out: list[tuple[str, Graph]] = []
-    if "complete" in spec.families:
-        out.extend((f"complete(n={n})", gen_complete(n)) for n in range(1, spec.n_max + 1))
-    if "cycle" in spec.families:
-        out.extend((f"cycle(n={n})", gen_cycle(n)) for n in range(3, spec.n_max + 1))
-    if "path" in spec.families:
-        out.extend((f"path(n={n})", gen_path(n)) for n in range(1, spec.n_max + 1))
-    if "sun" in spec.families:
-        out.extend((f"sun(t={t})", gen_sun(t)) for t in range(2, spec.n_max // 4 + 1))
-    if "hajos" in spec.families and spec.n_max >= 6:
-        out.append(("hajos()", gen_hajos()))
-    if "circulant" in spec.families:
-        out.extend(
-            (f"circulant(n={n},offsets=1:2)", gen_circulant(n, (1, 2)))
-            for n in range(5, spec.n_max + 1)
-        )
-    if "gnp" in spec.families:
-        for n in range(spec.n_min, spec.n_max + 1):
-            for p in spec.p_values:
-                for i in range(spec.seeds_per_cell):
-                    seed = spec.base_seed + i
-                    graph = gen_gnp(n, p, seed)
-                    if is_connected(graph):
-                        out.append((f"gnp(n={n},p={p!r},seed={seed})", graph))
-    return out
-
-
 def _slices(spec: EnsembleSpec) -> list[EnsembleSpec]:
-    """``spec`` cut into specs whose ensembles, concatenated in list order,
-    are ``build_ensemble(spec)``: one per named family, then one per
-    G(n, p) cell and run of at most ``_CHUNK`` seeds."""
+    """The one description of the ensemble: one spec per named family, in
+    ``FAMILIES`` order, then one per G(n, p) cell and run of at most
+    ``_CHUNK`` seeds, by (n, p, seed). A slice cuts into itself alone."""
     out = [replace(spec, families=(f,)) for f in FAMILIES if f != "gnp" and f in spec.families]
     if "gnp" in spec.families:
         out.extend(
@@ -156,6 +128,34 @@ def _slices(spec: EnsembleSpec) -> list[EnsembleSpec]:
             for j in range(0, spec.seeds_per_cell, _CHUNK)
         )
     return out
+
+
+def _members(part: EnsembleSpec) -> list[tuple[str, Graph]]:
+    """The (label, graph) pairs of one slice: a named family up to
+    ``n_max``, or the connected draws of one G(``n_max``, p) cell run."""
+    (family,), top = part.families, part.n_max
+    if family == "complete":
+        return [(f"complete(n={n})", gen_complete(n)) for n in range(1, top + 1)]
+    if family == "cycle":
+        return [(f"cycle(n={n})", gen_cycle(n)) for n in range(3, top + 1)]
+    if family == "path":
+        return [(f"path(n={n})", gen_path(n)) for n in range(1, top + 1)]
+    if family == "sun":
+        return [(f"sun(t={t})", gen_sun(t)) for t in range(2, top // 4 + 1)]
+    if family == "hajos":
+        return [("hajos()", gen_hajos())] if top >= 6 else []
+    if family == "circulant":
+        return [(f"circulant(n={n},offsets=1:2)", gen_circulant(n, (1, 2))) for n in range(5, top + 1)]
+    if family == "gnp":
+        (p,), first = part.p_values, part.base_seed
+        draws = ((seed, gen_gnp(top, p, seed)) for seed in range(first, first + part.seeds_per_cell))
+        return [(f"gnp(n={top},p={p!r},seed={seed})", g) for seed, g in draws if is_connected(g)]
+    raise ValueError(f"no ensemble rule for family {family!r}")
+
+
+def build_ensemble(spec: EnsembleSpec) -> list[tuple[str, Graph]]:
+    """Deterministic (label, graph) list: each slice's members, in order."""
+    return [member for part in _slices(spec) for member in _members(part)]
 
 
 @dataclass(frozen=True)
@@ -523,10 +523,9 @@ def run_campaign(
     Every graph is solved by branch-and-bound, one call per mode for all
     of its k; graphs with at most ``BRUTE_FORCE_CAP`` (20) vertices are
     also solved by one exhaustive enumeration for both modes, the oracle
-    of the oracle-equivalence check. The ensemble is cut into slices (a
-    named family, or at most 16 seeds of one G(n, p) cell), and each
-    slice is built, checked and tallied on its own, so memory does not
-    grow with the ensemble. ``workers`` > 1 hands the slices to a
+    of the oracle-equivalence check. Each slice of the ensemble
+    (``_slices``) is built, checked and tallied on its own, so memory
+    does not grow with the ensemble. ``workers`` > 1 hands the slices to a
     process pool of at most one worker per slice, and a single slice
     runs in-process; the tallies are merged in ensemble order either way.
     """

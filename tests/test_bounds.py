@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -224,6 +225,14 @@ def test_report_record_field_names():
 def test_best_applicable_lifted():
     rep = bound_report(gen_cycle(6), 6)
     assert rep.best_applicable_lifted() == 2
+
+
+def test_best_applicable_lifted_refuses_a_report_with_no_applicable_entry():
+    rep = bound_report(gen_cycle(6), 6)
+    bounds = {name: dataclasses.replace(b, applicable=False) for name, b in rep.bounds.items()}
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(rep, bounds=bounds).best_applicable_lifted()
+    assert str(info.value) == "no applicable bound available"
 
 
 # --- properties ---

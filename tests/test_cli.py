@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import signdom.bounds as bounds_mod
 import signdom.verify as verify_mod
 from signdom import (
+    GraphParseError,
     Mode,
     exact_cycle_signed,
     gen_complete,
@@ -160,6 +161,29 @@ def test_solve_parse_error_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["solve", str(path)])
     assert result.exit_code == 2
     assert "line 1" in result.output
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 2 1\n\n   \ne 1\n", "line 4: expected 'e <u> <v>'"),  # blank lines are counted
+        ("p edge 2\n", "line 1: expected 'p edge <n> <m>'"),
+        ("c a comment\np col 2 0\n", "line 2: expected 'p edge <n> <m>'"),
+        ("p edge two 1\n", "line 1: non-integer header field"),
+        ("p edge 2 -1\n", "line 1: negative header field"),
+        ("p edge 2 1\ne 1 2 2\n", "line 2: expected 'e <u> <v>'"),
+        ("p edge 2 1\ne 1 b\n", "line 2: non-integer vertex id"),
+    ],
+)
+def test_malformed_dimacs_names_its_line_and_exits_2(runner, tmp_path, text, message):
+    with pytest.raises(GraphParseError) as info:
+        parse_dimacs(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    result = runner.invoke(main, ["solve", str(path)])
+    assert result.exit_code == 2
+    assert f"Error: {path}: {message}\n" in result.output
 
 
 def test_solve_reads_dimacs_automatically(runner, tmp_path):
@@ -365,6 +389,17 @@ def test_verify_bad_counts_are_usage_errors(runner, args, message):
     assert result.exit_code == 2
     assert message in result.output
     assert "RESULT" not in result.output
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_verify_refuses_a_p_outside_0_1_before_any_slice_runs(runner, monkeypatch, p):
+    built = []
+    monkeypatch.setattr(verify_mod, "build_ensemble", built.append)
+    result = runner.invoke(main, ["verify", "--p", p, "--seeds", "0"])
+    assert result.exit_code == 2
+    assert "Error: p must lie in [0, 1]\n" in result.output
+    assert "RESULT" not in result.output
+    assert built == []
 
 
 def test_verify_defaults_are_the_ensemble_spec_defaults(runner, monkeypatch):

@@ -71,6 +71,20 @@ def test_every_entry_point_refuses_a_broken_graph_alike():
             assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        ((frozenset(),), "adjacency has 1 entries for 2 vertices"),
+        ((frozenset({2}), frozenset()), "vertex id 2 out of range 0..1"),
+        ((frozenset(), frozenset({-1})), "vertex id -1 out of range 0..1"),
+    ],
+)
+def test_constructor_rejects_a_wrong_entry_count_or_neighbour_id(adjacency, message):
+    with pytest.raises(GraphValidationError) as info:
+        Graph(2, adjacency)
+    assert str(info.value) == message
+
+
 def test_constructor_rejects_asymmetric_adjacency():
     with pytest.raises(GraphValidationError, match="asymmetric"):
         Graph(2, (frozenset({1}), frozenset()))

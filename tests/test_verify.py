@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -247,14 +248,36 @@ def test_campaign_builds_one_slice_at_a_time(monkeypatch):
         ({"families": ("petersen",)}, "unknown family 'petersen'"),
         ({"n_min": 0}, "n_min must be >= 1, got 0"),
         ({"seeds_per_cell": -1}, "seeds_per_cell must be >= 0, got -1"),
+        ({"p_values": (0.5, 1.5)}, "p must lie in [0, 1]"),
+        ({"p_values": (-0.1,)}, "p must lie in [0, 1]"),
+        ({"p_values": (float("nan"),)}, "p must lie in [0, 1]"),
     ],
 )
 def test_campaign_refuses_a_bad_spec_when_made_or_replaced(field, message):
     # each slice is made by dataclasses.replace, so the rules hold for it too
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_campaign(EnsembleSpec(**field))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(EnsembleSpec(), **field)
+
+
+def test_a_family_with_no_ensemble_rule_is_refused(monkeypatch):
+    # a family added to FAMILIES gets a slice of its own, which must not be
+    # built as some other family
+    monkeypatch.setattr(verify_mod, "FAMILIES", {**verify_mod.FAMILIES, "petersen": None})
+    spec = EnsembleSpec(families=("petersen",))
+    assert _slices(spec) == [spec]
+    with pytest.raises(ValueError) as info:
+        build_ensemble(spec)
+    assert str(info.value) == "no ensemble rule for family 'petersen'"
+
+
+def test_report_check_refuses_a_check_the_campaign_did_not_run():
+    report = run_campaign(SMALL, checks=("degree-identity",))
+    assert report.check("degree-identity").passed > 0
+    with pytest.raises(KeyError) as info:
+        report.check("parity")
+    assert info.value.args == ("parity",)
 
 
 def test_import_loads_no_process_pool_or_hashlib():
