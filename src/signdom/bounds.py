@@ -8,6 +8,10 @@ takes each ceiling once, by integer floor division of the numerator by
 the denominator. Parity lifting raises a rational bound to the least
 integer of the same parity as n, valid because every achievable weight of
 a {-1,+1} assignment on n vertices is congruent to n mod 2.
+
+Which bounds apply to a k is stated once, by :func:`bound_values`: the
+campaign compares its raw values with the optimum, and a report flags
+the same bounds applicable.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "bound_reports",
+    "bound_values",
     "BOUND_NAMES",
 ]
 
@@ -220,41 +225,63 @@ def bound_report(graph: Graph, k: int) -> BoundReport:
     return bound_reports(degree_profile(graph), is_connected(graph), (k,))[k]
 
 
+def bound_values(profile: DegreeProfile, connected: bool, k: int) -> list[tuple[str, Fraction | int]]:
+    """Name and raw value of each bound that applies to parameter ``k`` on
+    the graph with degree profile ``profile`` and connectivity
+    ``connected``, in ``BOUND_NAMES`` order.
+
+    This is the one statement of which bounds apply. Full-domination
+    bounds (the prior_* and nn* families) constrain only the k = n
+    problem, and the nn* family additionally requires a connected graph.
+    The ksub bounds hold for any graph and any valid k, and the regular
+    bound for any k on a regular graph. Each value is read from the
+    module-level ``bound_*`` function of its name.
+    """
+    values: list[tuple[str, Fraction | int]] = []
+    if k == profile.n:
+        values += [
+            ("prior_halfn", bound_prior_halfn(profile)),
+            ("prior_deltaceil", bound_prior_deltaceil(profile)),
+            ("prior_hua", bound_prior_hua(profile)),
+        ]
+        if connected:
+            values += [
+                ("nn1", bound_nn_1(profile)),
+                ("nn2", bound_nn_2(profile)),
+                ("nn3", bound_nn_3(profile)),
+                ("nn4", bound_nn_4(profile)),
+                ("nn5", bound_nn_5(profile)),
+            ]
+    values += [("ksub1", bound_ksub_1(profile, k)), ("ksub2", bound_ksub_2(profile, k))]
+    if profile.is_regular:
+        values.append(("regular", bound_regular(profile, k)))
+    return values
+
+
 def bound_reports(profile: DegreeProfile, connected: bool, ks: Iterable[int]) -> dict[int, BoundReport]:
     """Evaluate every named bound on the graph with degree profile
     ``profile`` and connectivity ``connected`` for each parameter k in
     ``ks``, keyed by k in ascending order.
 
-    Full-domination bounds (the prior_* and nn* families) constrain only
-    the k = n problem, so they are flagged inapplicable for k < n; the nn*
-    family additionally requires a connected graph. The ksub bounds hold
-    for any graph and any valid k. The regular-graph bound is reported
-    with empty values on non-regular graphs. The full-domination bounds,
-    which do not depend on k, are computed once for all of ``ks``.
+    A bound is flagged applicable exactly when :func:`bound_values` lists
+    it for k. A full-domination bound that does not apply (below k = n,
+    or nn* on a disconnected graph) is still reported with its value,
+    which does not depend on k; the regular-graph bound is reported with
+    empty values on non-regular graphs.
     """
     ks = check_ks(profile.n, ks)
     n = profile.n
-    full = {  # name -> its value at k = n, where it may apply
-        "prior_halfn": _value(bound_prior_halfn(profile), n, True),
-        "prior_deltaceil": _value(bound_prior_deltaceil(profile), n, True),
-        "prior_hua": _value(bound_prior_hua(profile), n, True),
-        "nn1": _value(bound_nn_1(profile), n, connected),
-        "nn2": _value(bound_nn_2(profile), n, connected),
-        "nn3": _value(bound_nn_3(profile), n, connected),
-        "nn4": _value(bound_nn_4(profile), n, connected),
-        "nn5": _value(bound_nn_5(profile), n, connected),
-    }
-    below = {}  # the same values at k < n, where none applies
-    if ks and ks[0] < n:
-        below = {name: BoundValue(b.raw, b.ceil, b.parity_lifted, False) for name, b in full.items()}
+    every = dict(bound_values(profile, True, n))  # each defined bound, hypotheses aside
     reports: dict[int, BoundReport] = {}
     for k in ks:
-        bounds = dict(full if k == n else below)
-        bounds["ksub1"] = _value(bound_ksub_1(profile, k), n, True)
-        bounds["ksub2"] = _value(bound_ksub_2(profile, k), n, True)
-        if profile.is_regular:
-            bounds["regular"] = _value(bound_regular(profile, k), n, True)
-        else:
-            bounds["regular"] = BoundValue(None, None, None, False)
+        applies = every if k == n and connected else dict(bound_values(profile, connected, k))
+        bounds = {}
+        for name in BOUND_NAMES:
+            if name in applies:
+                bounds[name] = _value(applies[name], n, True)
+            elif name in every:
+                bounds[name] = _value(every[name], n, False)
+            else:
+                bounds[name] = BoundValue(None, None, None, False)
         reports[k] = BoundReport(n=n, k=k, connected=connected, bounds=bounds)
     return reports

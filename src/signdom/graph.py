@@ -357,16 +357,6 @@ def gen_circulant(n: int, offsets: Iterable[int]) -> Graph:
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    """One splitmix64 step; returns (output, next state). Fixed constants
-    make the stream reproducible across platforms and languages."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31), state
-
-
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi G(n, p) graph, bit-reproducible.
 
@@ -382,8 +372,12 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            z, state = _splitmix64(state)
-            if z < threshold:
+            # one splitmix64 step, inline: its fixed constants make the
+            # stream reproducible across platforms and languages
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            if z ^ (z >> 31) < threshold:
                 edges.append((i, j))
     return Graph.from_edges(n, edges)
 

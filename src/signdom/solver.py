@@ -75,9 +75,9 @@ class Mode(enum.Enum):
     NONNEG = "nonneg"  # f(N[v]) >= 0
     SIGNED = "signed"  # f(N[v]) >= 1
 
-    @property
-    def threshold(self) -> int:
-        return 0 if self is Mode.NONNEG else 1
+    def __init__(self, value: str) -> None:
+        # a plain attribute: every evaluation and greedy sweep reads it
+        self.threshold = 0 if value == "nonneg" else 1
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ class SignAssignment:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for x in self.values:
-            if x not in (-1, 1):
-                raise ValueError(f"signs must be -1 or +1, got {x!r}")
+        values = self.values
+        if values.count(1) + values.count(-1) != len(values):  # one pass each, in C
+            bad = next(x for x in values if x not in (-1, 1))
+            raise ValueError(f"signs must be -1 or +1, got {bad!r}")
 
     @classmethod
     def all_plus(cls, n: int) -> "SignAssignment":
@@ -135,6 +136,9 @@ class SearchStats:
     prunes_satisfiability: int = 0
     prunes_residual: int = 0
     prunes_global_lb: int = 0
+
+
+_NO_SEARCH = SearchStats()  # shared by every answer found without a search
 
 
 @dataclass(frozen=True)
@@ -268,6 +272,7 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
             most = (len(nbrs) + 1 - mode.threshold) // 2  # most negatives N[v] may hold
             # 1 in the field of every mask that satisfies v
             satisfied[mode] += (top ^ above(held, most)) >> (width - 1)
+    stats = SearchStats(nodes=1 << n)  # one enumeration answers every k and mode
     results: dict[Mode, dict[int, SolveResult]] = {}
     for mode, counts in satisfied.items():
         results[mode] = {}
@@ -286,7 +291,7 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
                     tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
                 )
                 count = (counts >> mask * width) % big
-                result = SolveResult(n - 2 * j, witness, count, SearchStats(nodes=1 << n))
+                result = SolveResult(n - 2 * j, witness, count, stats)
             results[mode][k] = result
     return results
 
@@ -414,7 +419,7 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     last: SolveResult | None = None
     for k in ks:
         if last is not None and last.satisfied_count >= k:
-            results[k] = SolveResult(last.optimum, last.witness, last.satisfied_count, SearchStats())
+            results[k] = SolveResult(last.optimum, last.witness, last.satisfied_count, _NO_SEARCH)
             continue
         if k == 1:
             # the least demanding N[v] with positives on its lowest ids
@@ -422,7 +427,7 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
             plus = set(min(sorted((v, *adj[v]))[:c] for v in range(n) if lacks[v] == c))
             best = SignAssignment(tuple([1 if v in plus else -1 for v in range(n)]))
             satisfied = evaluate(graph, best, mode).satisfied_count
-            results[k] = last = SolveResult(2 * c - n, best, satisfied, SearchStats())
+            results[k] = last = SolveResult(2 * c - n, best, satisfied, _NO_SEARCH)
             continue
         cutoff = greedy_upper(graph, k, mode).weight + 1  # accepts ties with greedy
         # The stop weight: the residual bound at the root, where every

@@ -266,18 +266,29 @@ class _Tally:
                 )
             )
 
+    def passed(self, check: str, count: int) -> None:
+        """Count ``count`` passed results of ``check`` at once: what
+        ``record`` counts for as many results that hold."""
+        result = self.results.get(check)
+        if result is not None:
+            result.passed += count
+
 
 def _degree_inequalities_full_domination(
-    graph: Graph, profile: DegreeProfile, degrees: list[int], f: SignAssignment, tally: _Tally
+    profile: DegreeProfile, degrees: list[int], f: SignAssignment, sums: tuple[int, ...],
+    tally: _Tally,
 ) -> None:
     """Degree inequalities that every fully-satisfying nonneg assignment on
-    a connected graph must obey."""
-    n = graph.vertex_count
-    vals = f.values
-    pos = [v for v, x in enumerate(vals) if x > 0]
-    deg = degrees.__getitem__
-    lhs1 = sum(map(deg, pos))
-    rhs1 = n + profile.n_e - 2 * len(pos) + 2 * profile.m - lhs1  # M-degrees: 2m less P-degrees
+    a connected graph must obey; ``sums`` are the closed sums of ``f``."""
+    n = profile.n
+    positives = lhs1 = lhs2 = rhs2 = 0
+    for d, x, s in zip(degrees, f.values, sums):
+        if x > 0:
+            positives += 1
+            lhs1 += d
+            lhs2 += (d + s - 1) // 2  # neighbour sum s - 1: (d + s - 1) / 2 positive neighbours
+            rhs2 += d // 2  # ceil((d-1)/2) == d//2
+    rhs1 = n + profile.n_e - 2 * positives + 2 * profile.m - lhs1  # M-degrees: 2m less P-degrees
     tally.record(
         "degree-inequalities",
         lhs1 >= rhs1,
@@ -286,10 +297,6 @@ def _degree_inequalities_full_domination(
         k=n,
         mode=Mode.NONNEG,
     )
-    # a positive v with neighbour sum s has (d_v + s) / 2 positive neighbours
-    value = vals.__getitem__
-    lhs2 = sum((deg(v) + sum(map(value, graph.adjacency[v]))) // 2 for v in pos)
-    rhs2 = sum(deg(v) // 2 for v in pos)  # ceil((d-1)/2) == d//2
     tally.record(
         "degree-inequalities",
         lhs2 >= rhs2,
@@ -334,7 +341,7 @@ def _graph_battery(
     connected = is_connected(graph)
 
     # A check not in ``active`` is dropped by tally.record; the gates below
-    # only skip work: the solves, bound_reports and greedy_upper.
+    # only skip work: the solves, the bounds and greedy_upper.
     lhs = 2 * profile.ceil_half_sum(n)
     rhs = 2 * profile.m + n + profile.n_e
     tally.record(
@@ -356,20 +363,38 @@ def _graph_battery(
 
     oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_FORCE_CAP else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
-    exact: dict[tuple[Mode, int], SolveResult] = {}
-    evals: dict[tuple[Mode, int], EvalResult] = {}  # of exact's witness, evaluated once
+    parities = [(d + 1) & 1 for d in degrees]  # a closed sum has the parity of |N[v]|
+    exact: dict[Mode, dict[int, SolveResult]] = {}
+    evals: dict[Mode, dict[int, EvalResult]] = {}  # of exact's witness, evaluated once
+    clean = compared = 0  # (mode, k) whose solve results all hold; compared: against an oracle
     for mode in Mode:
         oracle = oracles.get(mode, {})
         solved = bnb_optima(graph, mode, ks)
+        best_of = exact[mode] = {}
+        evals_of = evals[mode] = {}
         for k in ks:
             bnb = solved[k]
             brute = oracle.get(k)
-            best = exact[(mode, k)] = brute if brute is not None else bnb
+            best = best_of[k] = brute if brute is not None else bnb
+            ev = evals_of[k] = evaluate(graph, best.witness, mode)
+            same_optimum = brute is None or bnb.optimum == brute.optimum
+            same_witness = brute is None or bnb.witness == brute.witness
+            valid = (
+                ev.weight == best.optimum
+                and ev.satisfied_count == best.satisfied_count
+                and ev.satisfied_count >= k
+            )
+            optimum_has_parity = (best.optimum - n) % 2 == 0
+            sums_have_parity = [s & 1 for s in ev.closed_sums] == parities
+            if same_optimum and same_witness and valid and optimum_has_parity and sums_have_parity:
+                clean += 1  # counted below, with nothing to format
+                compared += brute is not None
+                continue
 
             if brute is not None:
                 tally.record(
                     "oracle-equivalence",
-                    bnb.optimum == brute.optimum,
+                    same_optimum,
                     lambda: (bnb.optimum, brute.optimum),
                     "branch-and-bound optimum vs exhaustive optimum",
                     k=k,
@@ -377,18 +402,15 @@ def _graph_battery(
                 )
                 tally.record(
                     "oracle-equivalence",
-                    bnb.witness == brute.witness,
+                    same_witness,
                     lambda: (bnb.witness.to_string(), brute.witness.to_string()),
                     "canonical witness agreement",
                     k=k,
                     mode=mode,
                 )
-            ev = evals[(mode, k)] = evaluate(graph, best.witness, mode)
             tally.record(
                 "witness-validity",
-                ev.weight == best.optimum
-                and ev.satisfied_count == best.satisfied_count
-                and ev.satisfied_count >= k,
+                valid,
                 lambda: (
                     f"weight={ev.weight}, satisfied={ev.satisfied_count}",
                     f"weight={best.optimum}, satisfied={best.satisfied_count}>={k}",
@@ -399,7 +421,7 @@ def _graph_battery(
             )
             tally.record(
                 "parity",
-                (best.optimum - n) % 2 == 0,
+                optimum_has_parity,
                 lambda: (best.optimum, f"congruent to {n} mod 2"),
                 "optimum weight parity",
                 k=k,
@@ -407,26 +429,32 @@ def _graph_battery(
             )
             tally.record(
                 "parity",
-                all((s - (d + 1)) % 2 == 0 for s, d in zip(ev.closed_sums, degrees)),
+                sums_have_parity,
                 lambda: (tuple(ev.closed_sums), "each sum congruent to deg+1 mod 2"),
                 "closed-sum parity",
                 k=k,
                 mode=mode,
             )
 
+    tally.passed("oracle-equivalence", 2 * compared)
+    tally.passed("witness-validity", clean)
+    tally.passed("parity", 2 * clean)
+
+    nonneg, nonneg_evals = exact[Mode.NONNEG], evals[Mode.NONNEG]
     if "bound-dominance" in active:
-        reports = bounds_mod.bound_reports(profile, connected, ks)
+        lift = bounds_mod.parity_lift
+        passes = 0  # an all-pass bound counts its two results at once
         for k in ks:
-            report = reports[k]
-            opt = exact[(Mode.NONNEG, k)].optimum
-            for name in bounds_mod.BOUND_NAMES:
-                b = report[name]
-                if not b.applicable:
+            opt = nonneg[k].optimum
+            for name, raw in bounds_mod.bound_values(profile, connected, k):
+                raw_holds = raw.numerator <= opt * raw.denominator  # without Fraction.__le__
+                lifted = lift(raw, n)
+                if raw_holds and lifted <= opt:
+                    passes += 2
                     continue
-                raw = b.raw
                 tally.record(
                     "bound-dominance",
-                    raw.numerator <= opt * raw.denominator,  # raw <= opt, without Fraction.__le__
+                    raw_holds,
                     lambda: (opt, f">= {raw}"),
                     f"exact optimum vs {name} raw",
                     k=k,
@@ -434,25 +462,29 @@ def _graph_battery(
                 )
                 tally.record(
                     "bound-dominance",
-                    b.parity_lifted <= opt,
-                    lambda: (opt, f">= {b.parity_lifted}"),
+                    lifted <= opt,
+                    lambda: (opt, f">= {lifted}"),
                     f"exact optimum vs {name} parity-lifted",
                     k=k,
                     mode=Mode.NONNEG,
                 )
+        tally.passed("bound-dominance", passes)
 
     if "degree-inequalities" in active:
         if n in ks and connected:
-            full = [exact[(Mode.NONNEG, n)].witness, greedy_upper(graph, n, Mode.NONNEG)]
-            full.append(SignAssignment.all_plus(n))
-            for f in full:
-                _degree_inequalities_full_domination(graph, profile, degrees, f, tally)
+            greedy = greedy_upper(graph, n, Mode.NONNEG)
+            full = [
+                (nonneg[n].witness, nonneg_evals[n].closed_sums),
+                (greedy, evaluate(graph, greedy, Mode.NONNEG).closed_sums),
+                (SignAssignment.all_plus(n), tuple([d + 1 for d in degrees])),
+            ]
+            for f, sums in full:
+                _degree_inequalities_full_domination(profile, degrees, f, sums, tally)
         for k in ks:
-            f = exact[(Mode.NONNEG, k)].witness
-            _degree_inequality_subdomination(degrees, f, evals[(Mode.NONNEG, k)], k, tally)
+            _degree_inequality_subdomination(degrees, nonneg[k].witness, nonneg_evals[k], k, tally)
 
     for mode in Mode:
-        optima = [exact[(mode, k)].optimum for k in ks]
+        optima = [exact[mode][k].optimum for k in ks]
         tally.record(
             "monotonicity",
             all(a <= b for a, b in zip(optima, optima[1:])),
@@ -462,8 +494,8 @@ def _graph_battery(
         )
 
     for k in ks:
-        lo = exact[(Mode.NONNEG, k)].optimum
-        hi = exact[(Mode.SIGNED, k)].optimum
+        lo = nonneg[k].optimum
+        hi = exact[Mode.SIGNED][k].optimum
         tally.record(
             "mode-dominance",
             lo <= hi,

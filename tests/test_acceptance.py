@@ -172,6 +172,31 @@ def test_default_campaign_counts_are_pinned(default_campaign):
     assert report.graphs_without_oracle == 0  # all n <= 9
 
 
+# The same for every k of a small ensemble of 80 graphs, K_1 and P_1
+# among them.
+ALL_K_SPEC = EnsembleSpec(n_max=7, seeds_per_cell=8)
+ALL_K_CAMPAIGN_PASSED = {
+    "bound-dominance": 3146,
+    "degree-identity": 80,
+    "degree-inequalities": 899,
+    "even-graph-equality": 82,
+    "ksub-reduction": 160,
+    "mode-dominance": 419,
+    "monotonicity": 160,
+    "oracle-equivalence": 1676,
+    "parity": 1676,
+    "witness-validity": 838,
+}
+
+
+def test_all_k_campaign_counts_are_pinned():
+    report = run_campaign(ALL_K_SPEC, k_policy="all")
+    assert report.graph_count == 80
+    assert {c.name: c.passed for c in report.checks} == ALL_K_CAMPAIGN_PASSED
+    assert all(c.failed == 0 for c in report.checks)
+    assert report.checks_recorded == sum(ALL_K_CAMPAIGN_PASSED.values())
+
+
 def test_default_campaign_search_nodes_are_pinned():
     # The battery's searches, one bnb_optima call per graph and mode. The
     # stop at the k-th smallest demand saves a third of them: without it

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from signdom import (
     BOUND_NAMES,
@@ -21,6 +22,7 @@ from signdom import (
     bound_regular,
     bound_report,
     bound_reports,
+    bound_values,
     degree_profile,
     gen_complete,
     gen_cycle,
@@ -152,6 +154,18 @@ def test_parity_lift_basics():
     assert parity_lift(2, 5) == 3
     assert parity_lift(Fraction(-5, 2), 4) == -2
     assert parity_lift(Fraction(-5, 2), 5) == -1
+
+
+@given(
+    st.one_of(st.integers(-60, 60), st.fractions(-60, 60, max_denominator=30)),
+    st.integers(1, 40),
+)
+def test_parity_lift_is_never_below_its_argument(value, n):
+    # so a lifted bound that holds implies the raw one, and the lift is
+    # the least integer of n's parity that does
+    lifted = parity_lift(value, n)
+    assert value <= lifted < value + 2
+    assert (lifted - n) % 2 == 0
 
 
 # --- the aggregated report ---
@@ -305,3 +319,25 @@ def test_bound_reports_match_per_k_reports():
     for bad in ([0], [3, 7]):
         with pytest.raises(ValueError, match="k must satisfy"):
             bound_reports(c6, True, bad)
+
+
+def test_bound_values_are_the_applicable_report_entries():
+    # what the campaign's bound-dominance check compares with the optimum:
+    # each raw value from bound_values, its ceiling and parity_lift of it
+    grid = [gen_gnp(n, p, seed) for n in range(1, 9) for p in (0.2, 0.5, 0.9) for seed in range(4)]
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    grid += [gen_complete(1), gen_complete(5), gen_cycle(7), Graph.from_edges(4, []), two_triangles]
+    kinds = set()
+    for g in grid:
+        profile, connected = degree_profile(g), is_connected(g)
+        n = g.vertex_count
+        kinds.add((connected, profile.is_regular))
+        for k, report in bound_reports(profile, connected, range(1, n + 1)).items():
+            values = bound_values(profile, connected, k)
+            applicable = [name for name in BOUND_NAMES if report[name].applicable]
+            assert [name for name, _ in values] == applicable, (g, k)
+            for name, raw in values:
+                b = report[name]
+                assert (b.raw, b.ceil, b.parity_lifted) == (raw, math.ceil(raw), parity_lift(raw, n))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert any(g.vertex_count == 1 for g in grid)

@@ -321,6 +321,36 @@ def test_injected_mutant_is_caught_and_replayable(monkeypatch):
     assert f">= {replayed['nn3'].raw}" == ce.expected
 
 
+@pytest.mark.parametrize(
+    "function, name, spec, mutant",
+    [
+        # a k < n bound, raised by 2 so that a sharp case fails both records
+        ("bound_ksub_1", "ksub1", EnsembleSpec(families=("cycle", "path"), n_max=6),
+         lambda original: lambda profile, k: original(profile, k) + 2),
+        # an integer bound
+        ("bound_nn_4", "nn4", EnsembleSpec(families=("complete",), n_max=6),
+         lambda original: lambda profile: original(profile) + 2),
+    ],
+)
+def test_bound_dominance_catches_mutants_and_each_replays(monkeypatch, function, name, spec, mutant):
+    monkeypatch.setattr(bounds_mod, function, mutant(getattr(bounds_mod, function)))
+    check = run_campaign(spec, checks=("bound-dominance",)).check("bound-dominance")
+    assert check.failed == len(check.counterexamples) > 0
+    below_n = 0
+    for ce in check.counterexamples:
+        graph = parse_dimacs(ce.graph_dimacs)
+        below_n += ce.k < graph.vertex_count
+        replayed = bound_report(graph, ce.k)[name]
+        assert replayed.applicable and ce.mode == "nonneg"
+        assert ce.observed == str(solve_bruteforce(graph, ce.k, Mode.NONNEG).optimum)
+        if ce.detail == f"exact optimum vs {name} raw":
+            assert ce.expected == f">= {replayed.raw}"
+        else:
+            assert ce.detail == f"exact optimum vs {name} parity-lifted"
+            assert ce.expected == f">= {replayed.parity_lifted}"
+    assert below_n > 0 if name == "ksub1" else below_n == 0
+
+
 @pytest.mark.parametrize("excess", [Fraction(0), Fraction(1, 2)])
 def test_bound_dominance_is_exact_at_the_optimum(monkeypatch, excess):
     # on K_n the nonneg optimum at k = n is n mod 2
