@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graph import DegreeProfile, Graph, check_ks, degree_profile, is_connected
 
@@ -39,7 +39,6 @@ __all__ = [
     "BoundValue",
     "BoundReport",
     "bound_report",
-    "bound_reports",
     "bound_values",
     "BOUND_NAMES",
 ]
@@ -219,12 +218,6 @@ def _value(raw: Fraction | int, n: int, applicable: bool) -> BoundValue:
     return BoundValue(raw, ceil, ceil + (ceil - n) % 2, applicable)
 
 
-def bound_report(graph: Graph, k: int) -> BoundReport:
-    """Evaluate every named bound on ``graph`` for parameter ``k``: the
-    one-k case of :func:`bound_reports`."""
-    return bound_reports(degree_profile(graph), is_connected(graph), (k,))[k]
-
-
 def bound_values(profile: DegreeProfile, connected: bool, k: int) -> list[tuple[str, Fraction | int]]:
     """Name and raw value of each bound that applies to parameter ``k`` on
     the graph with degree profile ``profile`` and connectivity
@@ -258,10 +251,8 @@ def bound_values(profile: DegreeProfile, connected: bool, k: int) -> list[tuple[
     return values
 
 
-def bound_reports(profile: DegreeProfile, connected: bool, ks: Iterable[int]) -> dict[int, BoundReport]:
-    """Evaluate every named bound on the graph with degree profile
-    ``profile`` and connectivity ``connected`` for each parameter k in
-    ``ks``, keyed by k in ascending order.
+def bound_report(graph: Graph, k: int) -> BoundReport:
+    """Evaluate every named bound on ``graph`` for parameter ``k``.
 
     A bound is flagged applicable exactly when :func:`bound_values` lists
     it for k. A full-domination bound that does not apply (below k = n,
@@ -269,19 +260,17 @@ def bound_reports(profile: DegreeProfile, connected: bool, ks: Iterable[int]) ->
     which does not depend on k; the regular-graph bound is reported with
     empty values on non-regular graphs.
     """
-    ks = check_ks(profile.n, ks)
-    n = profile.n
+    n = graph.vertex_count
+    check_ks(n, (k,))
+    profile, connected = degree_profile(graph), is_connected(graph)
     every = dict(bound_values(profile, True, n))  # each defined bound, hypotheses aside
-    reports: dict[int, BoundReport] = {}
-    for k in ks:
-        applies = every if k == n and connected else dict(bound_values(profile, connected, k))
-        bounds = {}
-        for name in BOUND_NAMES:
-            if name in applies:
-                bounds[name] = _value(applies[name], n, True)
-            elif name in every:
-                bounds[name] = _value(every[name], n, False)
-            else:
-                bounds[name] = BoundValue(None, None, None, False)
-        reports[k] = BoundReport(n=n, k=k, connected=connected, bounds=bounds)
-    return reports
+    applies = every if k == n and connected else dict(bound_values(profile, connected, k))
+    bounds = {}
+    for name in BOUND_NAMES:
+        if name in applies:
+            bounds[name] = _value(applies[name], n, True)
+        elif name in every:
+            bounds[name] = _value(every[name], n, False)
+        else:
+            bounds[name] = BoundValue(None, None, None, False)
+    return BoundReport(n=n, k=k, connected=connected, bounds=bounds)

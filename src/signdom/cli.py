@@ -301,9 +301,9 @@ def table(family, start, end, offsets, k_policy, mode_name, fmt, output):
         profile = degree_profile(graph)
         n = graph.vertex_count
         k = {"full": n, "half": math.ceil(n / 2), "one": 1}[k_policy]
-        report = bounds_mod.bound_reports(profile, is_connected(graph), (k,))[k]  # mode-free
+        applies = dict(bounds_mod.bound_values(profile, is_connected(graph), k))  # mode-free
         raws = {  # a bound that does not apply at this k bounds nothing: leave it empty
-            f"bound.{name}.raw": str(report[name].raw) if report[name].applicable else ""
+            f"bound.{name}.raw": str(applies[name]) if name in applies else ""
             for name in bounds_mod.BOUND_NAMES
         }
         for mode in modes:

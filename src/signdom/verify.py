@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import bounds as bounds_mod
 from .graph import (
@@ -226,52 +226,48 @@ def _k_values(n: int, k_policy: str) -> tuple[int, ...]:
 class _Tally:
     """Pass/fail accumulator of one graph, shared by all checks; it counts
     into ``results``, one per active check, which every graph of a slice
-    shares."""
+    shares. A check site counts its results as passed, then fails each one
+    that does not hold."""
 
     def __init__(self, label: str, graph: Graph, results: dict[str, CheckResult]):
         self.label = label
         self.graph = graph  # rendered as DIMACS only for a counterexample
         self.results = results
 
-    def record(
+    def count(self, check: str, results: int) -> None:
+        """Count ``results`` results of ``check`` as passed."""
+        result = self.results.get(check)
+        if result is not None:  # an active check
+            result.passed += results
+
+    def fail(
         self,
         check: str,
-        ok: bool,
-        shown: Callable[[], tuple[object, object]],
+        observed: object,
+        expected: object,
         detail: str,
         k: int | None = None,
         mode: Mode | None = None,
     ) -> None:
-        """Count one result of ``check``. ``shown`` returns the observed
-        and expected values; it is called, and its values rendered with
-        str(), only for a failed result."""
+        """Turn one counted result of ``check`` into a failed one, with the
+        counterexample that shows it; the values are rendered with str()."""
         result = self.results.get(check)
         if result is None:  # not an active check
             return
-        if ok:
-            result.passed += 1
-        else:
-            result.failed += 1
-            observed, expected = shown()
-            result.counterexamples.append(
-                Counterexample(
-                    check=check,
-                    graph_label=self.label,
-                    graph_dimacs=to_dimacs(self.graph),
-                    k=k,
-                    mode=mode.value if mode is not None else None,
-                    observed=str(observed),
-                    expected=str(expected),
-                    detail=detail,
-                )
+        result.passed -= 1
+        result.failed += 1
+        result.counterexamples.append(
+            Counterexample(
+                check=check,
+                graph_label=self.label,
+                graph_dimacs=to_dimacs(self.graph),
+                k=k,
+                mode=mode.value if mode is not None else None,
+                observed=str(observed),
+                expected=str(expected),
+                detail=detail,
             )
-
-    def passed(self, check: str, count: int) -> None:
-        """Count ``count`` passed results of ``check`` at once: what
-        ``record`` counts for as many results that hold."""
-        result = self.results.get(check)
-        if result is not None:
-            result.passed += count
+        )
 
 
 def _degree_inequalities_full_domination(
@@ -289,22 +285,25 @@ def _degree_inequalities_full_domination(
             lhs2 += (d + s - 1) // 2  # neighbour sum s - 1: (d + s - 1) / 2 positive neighbours
             rhs2 += d // 2  # ceil((d-1)/2) == d//2
     rhs1 = n + profile.n_e - 2 * positives + 2 * profile.m - lhs1  # M-degrees: 2m less P-degrees
-    tally.record(
-        "degree-inequalities",
-        lhs1 >= rhs1,
-        lambda: (lhs1, f">= {rhs1}"),
-        "sum of P-degrees vs n + n_e - 2|P| + sum of M-degrees",
-        k=n,
-        mode=Mode.NONNEG,
-    )
-    tally.record(
-        "degree-inequalities",
-        lhs2 >= rhs2,
-        lambda: (lhs2, f">= {rhs2}"),
-        "induced P-degrees vs sum of ceil((deg-1)/2) over P",
-        k=n,
-        mode=Mode.NONNEG,
-    )
+    tally.count("degree-inequalities", 2)
+    if lhs1 < rhs1:
+        tally.fail(
+            "degree-inequalities",
+            lhs1,
+            f">= {rhs1}",
+            "sum of P-degrees vs n + n_e - 2|P| + sum of M-degrees",
+            k=n,
+            mode=Mode.NONNEG,
+        )
+    if lhs2 < rhs2:
+        tally.fail(
+            "degree-inequalities",
+            lhs2,
+            f">= {rhs2}",
+            "induced P-degrees vs sum of ceil((deg-1)/2) over P",
+            k=n,
+            mode=Mode.NONNEG,
+        )
 
 
 def _degree_inequality_subdomination(
@@ -320,14 +319,16 @@ def _degree_inequality_subdomination(
             lhs += d + (s >= 0)
         if s >= 0:
             rhs += (d + 2) // 2
-    tally.record(
-        "degree-inequalities",
-        lhs >= rhs,
-        lambda: (lhs, f">= {rhs}"),
-        "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1",
-        k=k,
-        mode=Mode.NONNEG,
-    )
+    tally.count("degree-inequalities", 1)
+    if lhs < rhs:
+        tally.fail(
+            "degree-inequalities",
+            lhs,
+            f">= {rhs}",
+            "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1",
+            k=k,
+            mode=Mode.NONNEG,
+        )
 
 
 def _graph_battery(
@@ -340,23 +341,22 @@ def _graph_battery(
     n = graph.vertex_count
     connected = is_connected(graph)
 
-    # A check not in ``active`` is dropped by tally.record; the gates below
-    # only skip work: the solves, the bounds and greedy_upper.
+    # A check not in ``active`` is dropped by tally.count and tally.fail;
+    # the gates below only skip work: the solves, the bounds and greedy_upper.
     lhs = 2 * profile.ceil_half_sum(n)
     rhs = 2 * profile.m + n + profile.n_e
-    tally.record(
-        "degree-identity", lhs == rhs, lambda: (lhs, rhs), "2*sum ceil((d_i+1)/2) vs 2m+n+n_e"
-    )
+    tally.count("degree-identity", 1)
+    if lhs != rhs:
+        tally.fail("degree-identity", lhs, rhs, "2*sum ceil((d_i+1)/2) vs 2m+n+n_e")
+    tally.count("ksub-reduction", 2)
     left1 = bounds_mod.bound_ksub_1(profile, n)
     right1 = bounds_mod.bound_nn_2(profile)
-    tally.record(
-        "ksub-reduction", left1 == right1, lambda: (left1, right1), "ksub1 at k=n vs nn2", k=n
-    )
+    if left1 != right1:
+        tally.fail("ksub-reduction", left1, right1, "ksub1 at k=n vs nn2", k=n)
     left2 = bounds_mod.bound_ksub_2(profile, n)
     right2 = bounds_mod.bound_nn_3(profile)
-    tally.record(
-        "ksub-reduction", left2 == right2, lambda: (left2, right2), "ksub2 at k=n vs nn3", k=n
-    )
+    if left2 != right2:
+        tally.fail("ksub-reduction", left2, right2, "ksub2 at k=n vs nn3", k=n)
 
     if not (_SOLVE_CHECKS & active):
         return
@@ -366,7 +366,10 @@ def _graph_battery(
     parities = [(d + 1) & 1 for d in degrees]  # a closed sum has the parity of |N[v]|
     exact: dict[Mode, dict[int, SolveResult]] = {}
     evals: dict[Mode, dict[int, EvalResult]] = {}  # of exact's witness, evaluated once
-    clean = compared = 0  # (mode, k) whose solve results all hold; compared: against an oracle
+    tally.count("witness-validity", 2 * len(ks))  # one per mode and k
+    tally.count("parity", 4 * len(ks))  # optimum and closed sums, per mode and k
+    if oracles:
+        tally.count("oracle-equivalence", 4 * len(ks))  # optimum and witness, per mode and k
     for mode in Mode:
         oracle = oracles.get(mode, {})
         solved = bnb_optima(graph, mode, ks)
@@ -377,98 +380,84 @@ def _graph_battery(
             brute = oracle.get(k)
             best = best_of[k] = brute if brute is not None else bnb
             ev = evals_of[k] = evaluate(graph, best.witness, mode)
-            same_optimum = brute is None or bnb.optimum == brute.optimum
-            same_witness = brute is None or bnb.witness == brute.witness
-            valid = (
+            if brute is not None:
+                if bnb.optimum != brute.optimum:
+                    tally.fail(
+                        "oracle-equivalence",
+                        bnb.optimum,
+                        brute.optimum,
+                        "branch-and-bound optimum vs exhaustive optimum",
+                        k=k,
+                        mode=mode,
+                    )
+                if bnb.witness != brute.witness:
+                    tally.fail(
+                        "oracle-equivalence",
+                        bnb.witness.to_string(),
+                        brute.witness.to_string(),
+                        "canonical witness agreement",
+                        k=k,
+                        mode=mode,
+                    )
+            if not (
                 ev.weight == best.optimum
                 and ev.satisfied_count == best.satisfied_count
                 and ev.satisfied_count >= k
-            )
-            optimum_has_parity = (best.optimum - n) % 2 == 0
-            sums_have_parity = [s & 1 for s in ev.closed_sums] == parities
-            if same_optimum and same_witness and valid and optimum_has_parity and sums_have_parity:
-                clean += 1  # counted below, with nothing to format
-                compared += brute is not None
-                continue
-
-            if brute is not None:
-                tally.record(
-                    "oracle-equivalence",
-                    same_optimum,
-                    lambda: (bnb.optimum, brute.optimum),
-                    "branch-and-bound optimum vs exhaustive optimum",
-                    k=k,
-                    mode=mode,
-                )
-                tally.record(
-                    "oracle-equivalence",
-                    same_witness,
-                    lambda: (bnb.witness.to_string(), brute.witness.to_string()),
-                    "canonical witness agreement",
-                    k=k,
-                    mode=mode,
-                )
-            tally.record(
-                "witness-validity",
-                valid,
-                lambda: (
+            ):
+                tally.fail(
+                    "witness-validity",
                     f"weight={ev.weight}, satisfied={ev.satisfied_count}",
                     f"weight={best.optimum}, satisfied={best.satisfied_count}>={k}",
-                ),
-                "witness evaluates to the reported optimum, count and feasibility",
-                k=k,
-                mode=mode,
-            )
-            tally.record(
-                "parity",
-                optimum_has_parity,
-                lambda: (best.optimum, f"congruent to {n} mod 2"),
-                "optimum weight parity",
-                k=k,
-                mode=mode,
-            )
-            tally.record(
-                "parity",
-                sums_have_parity,
-                lambda: (tuple(ev.closed_sums), "each sum congruent to deg+1 mod 2"),
-                "closed-sum parity",
-                k=k,
-                mode=mode,
-            )
-
-    tally.passed("oracle-equivalence", 2 * compared)
-    tally.passed("witness-validity", clean)
-    tally.passed("parity", 2 * clean)
+                    "witness evaluates to the reported optimum, count and feasibility",
+                    k=k,
+                    mode=mode,
+                )
+            if (best.optimum - n) % 2 != 0:
+                tally.fail(
+                    "parity",
+                    best.optimum,
+                    f"congruent to {n} mod 2",
+                    "optimum weight parity",
+                    k=k,
+                    mode=mode,
+                )
+            if [s & 1 for s in ev.closed_sums] != parities:
+                tally.fail(
+                    "parity",
+                    tuple(ev.closed_sums),
+                    "each sum congruent to deg+1 mod 2",
+                    "closed-sum parity",
+                    k=k,
+                    mode=mode,
+                )
 
     nonneg, nonneg_evals = exact[Mode.NONNEG], evals[Mode.NONNEG]
     if "bound-dominance" in active:
         lift = bounds_mod.parity_lift
-        passes = 0  # an all-pass bound counts its two results at once
         for k in ks:
             opt = nonneg[k].optimum
-            for name, raw in bounds_mod.bound_values(profile, connected, k):
-                raw_holds = raw.numerator <= opt * raw.denominator  # without Fraction.__le__
+            values = bounds_mod.bound_values(profile, connected, k)
+            tally.count("bound-dominance", 2 * len(values))  # raw and parity-lifted
+            for name, raw in values:
+                if raw.numerator > opt * raw.denominator:  # raw > opt, without Fraction.__gt__
+                    tally.fail(
+                        "bound-dominance",
+                        opt,
+                        f">= {raw}",
+                        f"exact optimum vs {name} raw",
+                        k=k,
+                        mode=Mode.NONNEG,
+                    )
                 lifted = lift(raw, n)
-                if raw_holds and lifted <= opt:
-                    passes += 2
-                    continue
-                tally.record(
-                    "bound-dominance",
-                    raw_holds,
-                    lambda: (opt, f">= {raw}"),
-                    f"exact optimum vs {name} raw",
-                    k=k,
-                    mode=Mode.NONNEG,
-                )
-                tally.record(
-                    "bound-dominance",
-                    lifted <= opt,
-                    lambda: (opt, f">= {lifted}"),
-                    f"exact optimum vs {name} parity-lifted",
-                    k=k,
-                    mode=Mode.NONNEG,
-                )
-        tally.passed("bound-dominance", passes)
+                if lifted > opt:
+                    tally.fail(
+                        "bound-dominance",
+                        opt,
+                        f">= {lifted}",
+                        f"exact optimum vs {name} parity-lifted",
+                        k=k,
+                        mode=Mode.NONNEG,
+                    )
 
     if "degree-inequalities" in active:
         if n in ks and connected:
@@ -483,31 +472,37 @@ def _graph_battery(
         for k in ks:
             _degree_inequality_subdomination(degrees, nonneg[k].witness, nonneg_evals[k], k, tally)
 
+    tally.count("monotonicity", 2)  # one per mode
     for mode in Mode:
         optima = [exact[mode][k].optimum for k in ks]
-        tally.record(
-            "monotonicity",
-            all(a <= b for a, b in zip(optima, optima[1:])),
-            lambda: (dict(zip(ks, optima)), "nondecreasing in k"),
-            "optimum as a function of k",
-            mode=mode,
-        )
+        if any(a > b for a, b in zip(optima, optima[1:])):
+            tally.fail(
+                "monotonicity",
+                dict(zip(ks, optima)),
+                "nondecreasing in k",
+                "optimum as a function of k",
+                mode=mode,
+            )
 
+    tally.count("mode-dominance", len(ks))
+    if profile.n_o == 0:
+        tally.count("even-graph-equality", len(ks))
     for k in ks:
         lo = nonneg[k].optimum
         hi = exact[Mode.SIGNED][k].optimum
-        tally.record(
-            "mode-dominance",
-            lo <= hi,
-            lambda: (f"nonneg={lo}, signed={hi}", "nonneg <= signed"),
-            "threshold relaxation can only lower the optimum",
-            k=k,
-        )
-        if profile.n_o == 0:
-            tally.record(
+        if lo > hi:
+            tally.fail(
+                "mode-dominance",
+                f"nonneg={lo}, signed={hi}",
+                "nonneg <= signed",
+                "threshold relaxation can only lower the optimum",
+                k=k,
+            )
+        if profile.n_o == 0 and lo != hi:
+            tally.fail(
                 "even-graph-equality",
-                lo == hi,
-                lambda: (f"nonneg={lo}, signed={hi}", "equal on even graphs"),
+                f"nonneg={lo}, signed={hi}",
+                "equal on even graphs",
                 "all degrees even forces both modes to coincide",
                 k=k,
             )

@@ -7,6 +7,7 @@ cell, plus all named families with n <= 9, k swept over {1, ceil(n/2),
 n} in both modes).
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ from signdom import (
     run_campaign,
     solve_bnb,
 )
+import signdom.verify as verify_mod
 from signdom.verify import _k_values
 
 
@@ -194,6 +196,33 @@ def test_all_k_campaign_counts_are_pinned():
     assert report.graph_count == 80
     assert {c.name: c.passed for c in report.checks} == ALL_K_CAMPAIGN_PASSED
     assert all(c.failed == 0 for c in report.checks)
+    assert report.checks_recorded == sum(ALL_K_CAMPAIGN_PASSED.values())
+
+
+def _bnb_optimum_plus_2(original):
+    return lambda graph, mode, ks: {
+        k: dataclasses.replace(r, optimum=r.optimum + 2) for k, r in original(graph, mode, ks).items()
+    }
+
+
+def _closed_sums_plus_1(original):
+    def mutant(graph, f, mode):
+        ev = original(graph, f, mode)
+        return dataclasses.replace(ev, closed_sums=tuple(s + 1 for s in ev.closed_sums))
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "attribute, mutant", [("bnb_optima", _bnb_optimum_plus_2), ("evaluate", _closed_sums_plus_1)]
+)
+def test_a_failed_result_is_one_of_the_all_k_counts(monkeypatch, attribute, mutant):
+    # a failed result takes the place of a passed one, so a check records
+    # as many results whether they hold or not
+    monkeypatch.setattr(verify_mod, attribute, mutant(getattr(verify_mod, attribute)))
+    report = run_campaign(ALL_K_SPEC, k_policy="all")
+    assert {c.name: c.passed + c.failed for c in report.checks} == ALL_K_CAMPAIGN_PASSED
+    assert not report.all_passed
     assert report.checks_recorded == sum(ALL_K_CAMPAIGN_PASSED.values())
 
 

@@ -21,7 +21,6 @@ from signdom import (
     bound_prior_hua,
     bound_regular,
     bound_report,
-    bound_reports,
     bound_values,
     degree_profile,
     gen_complete,
@@ -305,20 +304,24 @@ def test_report_ceilings_and_closed_forms(g):
             assert rep["regular"].raw == oracles.regular(g, k)
 
 
-def test_bound_reports_match_per_k_reports():
+def test_bound_report_full_domination_values_do_not_depend_on_k():
+    # below k = n a full-domination bound is reported with its k = n value,
+    # flagged not applicable
     grid = [gen_gnp(n, p, seed) for n in (1, 4, 7, 10) for p in (0.2, 0.5, 0.8) for seed in range(3)]
     grid += [gen_cycle(6), gen_sun(2), gen_complete(5), gen_hajos(), gen_path(4)]
+    full_domination = [name for name in BOUND_NAMES if not name.startswith(("ksub", "regular"))]
     for g in grid:
         n = g.vertex_count
-        reports = bound_reports(degree_profile(g), is_connected(g), range(n, 0, -1))
-        assert list(reports) == list(range(1, n + 1))
-        for k, report in reports.items():
-            assert report == bound_report(g, k), k
-    c6 = degree_profile(gen_cycle(6))
-    assert bound_reports(c6, True, []) == {}
-    for bad in ([0], [3, 7]):
+        full = bound_report(g, n)
+        for k in range(1, n):
+            report = bound_report(g, k)
+            assert (report.n, report.k, report.connected) == (n, k, is_connected(g))
+            for name in full_domination:
+                assert report[name] == dataclasses.replace(full[name], applicable=False), (name, k)
+    c6 = gen_cycle(6)
+    for bad in (0, 7):
         with pytest.raises(ValueError, match="k must satisfy"):
-            bound_reports(c6, True, bad)
+            bound_report(c6, bad)
 
 
 def test_bound_values_are_the_applicable_report_entries():
@@ -332,7 +335,8 @@ def test_bound_values_are_the_applicable_report_entries():
         profile, connected = degree_profile(g), is_connected(g)
         n = g.vertex_count
         kinds.add((connected, profile.is_regular))
-        for k, report in bound_reports(profile, connected, range(1, n + 1)).items():
+        for k in range(1, n + 1):
+            report = bound_report(g, k)
             values = bound_values(profile, connected, k)
             applicable = [name for name in BOUND_NAMES if report[name].applicable]
             assert [name for name, _ in values] == applicable, (g, k)

@@ -12,7 +12,7 @@ from signdom import (
     SearchStats,
     SignAssignment,
     bnb_optima,
-    bound_reports,
+    bound_report,
     bruteforce_optima_both,
     degree_profile,
     evaluate,
@@ -25,7 +25,6 @@ from signdom import (
     gen_path,
     gen_sun,
     greedy_upper,
-    is_connected,
     result_record,
     solve_bnb,
     solve_bruteforce,
@@ -405,7 +404,7 @@ def test_every_many_k_entry_point_refuses_an_invalid_k_alike():
         calls = [
             lambda: bnb_optima(graph, Mode.NONNEG, ks),
             lambda: bruteforce_optima_both(graph, ks),
-            lambda: bound_reports(profile, is_connected(graph), ks),
+            lambda: bound_report(graph, k),
             lambda: profile.ceil_half_sum(k),
         ]
         for call in calls:

@@ -24,6 +24,7 @@ from signdom import (
     run_campaign,
     solve_bruteforce,
 )
+from signdom.graph import DegreeProfile
 from signdom.verify import MAX_COUNTEREXAMPLES, _k_values, _slices
 
 from oracles import naive_closed_sums
@@ -452,3 +453,90 @@ def test_counterexample_payload_fields(monkeypatch):
         assert list(ce) == fields
         graph = parse_dimacs(ce["graph_dimacs"])
         assert graph == graphs[ce["graph_label"]]  # the same vertex count and edges
+
+
+def _each_oracle_answer(change):
+    """A mutant of bruteforce_optima_both that passes each of its answers
+    through ``change(mode, answer)``."""
+    return lambda original: lambda graph, ks: {
+        mode: {k: change(mode, r) for k, r in by_k.items()} for mode, by_k in original(graph, ks).items()
+    }
+
+
+def _shifted_sums(shift):
+    """A mutant of evaluate that adds ``shift`` to each closed sum."""
+    def wrap(original):
+        def mutant(graph, f, mode):
+            ev = original(graph, f, mode)
+            return dataclasses.replace(ev, closed_sums=tuple(s + shift for s in ev.closed_sums))
+
+        return mutant
+
+    return wrap
+
+
+# One mutant per check, and three more for details a first mutant leaves
+# holding, on the Hajos graph (n = 6, ks 1, 3, 6, every degree even): the
+# count of failed results and the first counterexample of each detail, as
+# (k, mode, observed, expected, detail).
+PINNED_COUNTEREXAMPLES = [
+    ("degree-identity", DegreeProfile, "ceil_half_sum",
+     lambda original: lambda profile, k: original(profile, k) + 1,
+     (1, [(None, None, "32", "30", "2*sum ceil((d_i+1)/2) vs 2m+n+n_e")])),
+    ("ksub-reduction", bounds_mod, "bound_nn_2",
+     lambda original: lambda profile: original(profile) + 1,
+     (1, [(6, None, "0", "1", "ksub1 at k=n vs nn2")])),
+    ("oracle-equivalence", verify_mod, "bnb_optima",
+     lambda original: lambda graph, mode, ks: {
+         k: dataclasses.replace(r, optimum=r.optimum + 2) for k, r in original(graph, mode, ks).items()
+     },
+     (6, [(1, "nonneg", "0", "-2", "branch-and-bound optimum vs exhaustive optimum")])),
+    ("witness-validity", verify_mod, "bruteforce_optima_both",
+     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1)),
+     (6, [(1, "nonneg", "weight=-2, satisfied=1", "weight=-2, satisfied=2>=1",
+           "witness evaluates to the reported optimum, count and feasibility")])),
+    ("parity", verify_mod, "evaluate", _shifted_sums(1),
+     (6, [(1, "nonneg", "(0, 0, 0, 0, 0, 2)", "each sum congruent to deg+1 mod 2", "closed-sum parity")])),
+    ("parity", verify_mod, "bruteforce_optima_both",
+     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 1)),
+     (6, [(1, "nonneg", "-1", "congruent to 6 mod 2", "optimum weight parity")])),
+    ("bound-dominance", bounds_mod, "bound_nn_3",
+     lambda original: lambda profile: original(profile) + 3,
+     (2, [(6, "nonneg", "0", ">= 3", "exact optimum vs nn3 raw"),
+          (6, "nonneg", "0", ">= 4", "exact optimum vs nn3 parity-lifted")])),
+    ("degree-inequalities", verify_mod, "greedy_upper",
+     lambda original: lambda graph, k, mode: SignAssignment((-1,) * graph.vertex_count),
+     (1, [(6, "nonneg", "0", ">= 30", "sum of P-degrees vs n + n_e - 2|P| + sum of M-degrees")])),
+    ("degree-inequalities", verify_mod, "evaluate", _shifted_sums(-1),
+     (2, [(6, "nonneg", "3", ">= 6", "induced P-degrees vs sum of ceil((deg-1)/2) over P")])),
+    ("degree-inequalities", verify_mod, "evaluate", _shifted_sums(1),
+     (1, [(1, "nonneg", "10", ">= 15", "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1")])),
+    ("monotonicity", verify_mod, "bruteforce_optima_both",
+     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=-r.satisfied_count)),
+     (2, [(None, "nonneg", "{1: -1, 3: -6, 6: -6}", "nondecreasing in k", "optimum as a function of k")])),
+    ("mode-dominance", verify_mod, "bruteforce_optima_both",
+     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 4 * (mode is Mode.NONNEG))),
+     (3, [(1, None, "nonneg=2, signed=-2", "nonneg <= signed", "threshold relaxation can only lower the optimum")])),
+    ("even-graph-equality", verify_mod, "bruteforce_optima_both",
+     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum - 2 * (mode is Mode.NONNEG))),
+     (3, [(1, None, "nonneg=-4, signed=-2", "equal on even graphs", "all degrees even forces both modes to coincide")])),
+]
+
+
+def _first_of_each_detail(check):
+    firsts = {}
+    for ce in check.counterexamples:
+        assert (ce.check, ce.graph_label) == (check.name, "hajos()")
+        firsts.setdefault(ce.detail, (ce.k, ce.mode, ce.observed, ce.expected, ce.detail))
+    return check.failed, list(firsts.values())
+
+
+@pytest.mark.parametrize(
+    "name, target, attribute, mutant, pinned",
+    PINNED_COUNTEREXAMPLES,
+    ids=[f"{case[0]}:{case[2]}:{i}" for i, case in enumerate(PINNED_COUNTEREXAMPLES)],
+)
+def test_each_check_reports_its_pinned_counterexample(monkeypatch, name, target, attribute, mutant, pinned):
+    monkeypatch.setattr(target, attribute, mutant(getattr(target, attribute)))
+    report = run_campaign(EnsembleSpec(families=("hajos",), n_max=6), checks=(name,))
+    assert _first_of_each_detail(report.check(name)) == pinned
