@@ -3,11 +3,12 @@
 Every bound is computed with integer/rational arithmetic only: each
 rational bound is one Fraction built from an integer numerator and
 denominator, and the two square-root bounds are resolved by integer
-square-root bracketing so that their ceilings are bit-exact. A report
-takes each ceiling once, by integer floor division of the numerator by
-the denominator. Parity lifting raises a rational bound to the least
-integer of the same parity as n, valid because every achievable weight of
-a {-1,+1} assignment on n vertices is congruent to n mod 2.
+square-root bracketing so that their ceilings are bit-exact. Every
+ceiling of a rational value, in a report and in :func:`parity_lift`, is
+an integer floor division of the numerator by the denominator. Parity
+lifting raises a rational bound to the least integer of the same parity
+as n, valid because every achievable weight of a {-1,+1} assignment on
+n vertices is congruent to n mod 2.
 
 Which bounds apply to a k is stated once, by :func:`bound_values`: the
 campaign compares its raw values with the optimum, and a report flags
@@ -60,8 +61,8 @@ BOUND_NAMES = (
 
 def parity_lift(value: Fraction | int, n: int) -> int:
     """Least integer >= value congruent to n mod 2."""
-    c = math.ceil(value)
-    return c if (c - n) % 2 == 0 else c + 1
+    c = -(-value.numerator // value.denominator)
+    return c + (c - n) % 2
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -215,7 +216,7 @@ def _value(raw: Fraction | int, n: int, applicable: bool) -> BoundValue:
     if isinstance(raw, int):  # nn4 and nn5 are integers already
         raw = Fraction(raw)
     ceil = -(-raw.numerator // raw.denominator)
-    return BoundValue(raw, ceil, ceil + (ceil - n) % 2, applicable)
+    return BoundValue(raw, ceil, parity_lift(raw, n), applicable)
 
 
 def bound_values(profile: DegreeProfile, connected: bool, k: int) -> list[tuple[str, Fraction | int]]:

@@ -8,7 +8,8 @@ option given for a family or engine that does not read it
 DIMACS input, ``verify --seed`` without the gnp family) is a usage error.
 ``graph.FAMILIES`` says which parameters each family reads.
 
-Exit codes: 0 success, 1 verification-check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification-check failure, 2 usage or parse error
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -101,7 +102,19 @@ def _format(records: list[dict[str, object]], fmt: str) -> str:
     return "".join(f"{key} = {value}\n" for r in records for key, value in r.items())
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group; a command that runs out of memory on its input
+    ends in a usage error (exit 2), not a traceback under exit 1, which
+    means a check failure."""
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            raise click.UsageError("out of memory: the input is too large for this machine") from None
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact signed and nonnegative signed k-subdomination numbers."""
 

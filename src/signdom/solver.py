@@ -240,9 +240,8 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
     satisfied vertices are counted per mode. The optimum for k is set by
     the most negatives among the masks that satisfy at least k vertices,
     and the lowest such mask is the canonical witness; only the ks asked
-    for pay for that extraction. A k that the witness for the last k
-    answered already satisfies keeps that result. Refuses graphs with more
-    than ``BRUTE_FORCE_CAP`` vertices.
+    for pay for that extraction, each starting from the last k's count of
+    negatives. Refuses graphs with more than ``BRUTE_FORCE_CAP`` vertices.
     """
     n = graph.vertex_count
     ks = check_ks(n, ks)
@@ -277,22 +276,19 @@ def bruteforce_optima_both(graph: Graph, ks: Iterable[int]) -> dict[Mode, dict[i
     for mode, counts in satisfied.items():
         results[mode] = {}
         j = n  # optima never decrease in k, so j only falls
-        result: SolveResult | None = None
         for k in ks:
-            if result is None or result.satisfied_count < k:
-                enough = above(counts, k - 1)
+            enough = above(counts, k - 1)
+            hit = enough & above(negatives, j - 1)
+            while j > 0 and not hit:
+                j -= 1
                 hit = enough & above(negatives, j - 1)
-                while j > 0 and not hit:
-                    j -= 1
-                    hit = enough & above(negatives, j - 1)
-                # hit: the masks with j negatives that satisfy k vertices
-                mask = (hit & -hit).bit_length() // width - 1
-                witness = SignAssignment(
-                    tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
-                )
-                count = (counts >> mask * width) % big
-                result = SolveResult(n - 2 * j, witness, count, stats)
-            results[mode][k] = result
+            # hit: the masks with j negatives that satisfy k vertices
+            mask = (hit & -hit).bit_length() // width - 1
+            witness = SignAssignment(
+                tuple(-1 if (mask >> (n - 1 - v)) & 1 else 1 for v in range(n))
+            )
+            count = (counts >> mask * width) % big
+            results[mode][k] = SolveResult(n - 2 * j, witness, count, stats)
     return results
 
 

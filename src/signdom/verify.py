@@ -132,7 +132,11 @@ def _slices(spec: EnsembleSpec) -> list[EnsembleSpec]:
 
 def _members(part: EnsembleSpec) -> list[tuple[str, Graph]]:
     """The (label, graph) pairs of one slice: a named family up to
-    ``n_max``, or the connected draws of one G(``n_max``, p) cell run."""
+    ``n_max``, or the connected draws of one G(``n_max``, p) cell run.
+
+    Every member is connected: each named family member is (K_1 and P_1
+    included), and a disconnected G(n, p) draw is discarded here. The
+    checks of ``_graph_battery`` rely on that rule."""
     (family,), top = part.families, part.n_max
     if family == "complete":
         return [(f"complete(n={n})", gen_complete(n)) for n in range(1, top + 1)]
@@ -334,12 +338,16 @@ def _degree_inequality_subdomination(
 def _graph_battery(
     label: str, graph: Graph, ks: tuple[int, ...], results: dict[str, CheckResult]
 ) -> None:
-    """Run every active check on one graph, counting into ``results``."""
+    """Run every active check on one graph, counting into ``results``.
+
+    ``graph`` is connected, as every ``_members`` graph is, so every
+    bound and degree inequality that needs connectivity applies to it.
+    The bounds are read from ``bound_values``, once for each k checked
+    and once for k = n, which ksub-reduction compares."""
     tally = _Tally(label, graph, results)
     active = results.keys()
     profile = degree_profile(graph)
     n = graph.vertex_count
-    connected = is_connected(graph)
 
     # A check not in ``active`` is dropped by tally.count and tally.fail;
     # the gates below only skip work: the solves, the bounds and greedy_upper.
@@ -348,15 +356,11 @@ def _graph_battery(
     tally.count("degree-identity", 1)
     if lhs != rhs:
         tally.fail("degree-identity", lhs, rhs, "2*sum ceil((d_i+1)/2) vs 2m+n+n_e")
+    at_n = dict(bounds_mod.bound_values(profile, True, n))  # bound-dominance reads it at k = n
     tally.count("ksub-reduction", 2)
-    left1 = bounds_mod.bound_ksub_1(profile, n)
-    right1 = bounds_mod.bound_nn_2(profile)
-    if left1 != right1:
-        tally.fail("ksub-reduction", left1, right1, "ksub1 at k=n vs nn2", k=n)
-    left2 = bounds_mod.bound_ksub_2(profile, n)
-    right2 = bounds_mod.bound_nn_3(profile)
-    if left2 != right2:
-        tally.fail("ksub-reduction", left2, right2, "ksub2 at k=n vs nn3", k=n)
+    for ksub, nn in (("ksub1", "nn2"), ("ksub2", "nn3")):
+        if at_n[ksub] != at_n[nn]:
+            tally.fail("ksub-reduction", at_n[ksub], at_n[nn], f"{ksub} at k=n vs {nn}", k=n)
 
     if not (_SOLVE_CHECKS & active):
         return
@@ -436,9 +440,9 @@ def _graph_battery(
         lift = bounds_mod.parity_lift
         for k in ks:
             opt = nonneg[k].optimum
-            values = bounds_mod.bound_values(profile, connected, k)
+            values = at_n if k == n else dict(bounds_mod.bound_values(profile, True, k))
             tally.count("bound-dominance", 2 * len(values))  # raw and parity-lifted
-            for name, raw in values:
+            for name, raw in values.items():
                 if raw.numerator > opt * raw.denominator:  # raw > opt, without Fraction.__gt__
                     tally.fail(
                         "bound-dominance",
@@ -460,7 +464,7 @@ def _graph_battery(
                     )
 
     if "degree-inequalities" in active:
-        if n in ks and connected:
+        if n in ks:
             greedy = greedy_upper(graph, n, Mode.NONNEG)
             full = [
                 (nonneg[n].witness, nonneg_evals[n].closed_sums),

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import signdom.bounds as bounds_mod
+import signdom.cli as cli_mod
 import signdom.verify as verify_mod
 from signdom import (
     GraphParseError,
@@ -202,6 +203,38 @@ def test_solve_a_thousand_vertex_cycle(runner, tmp_path):
     assert result.exception is None
     assert "Traceback" not in result.output
     assert json.loads(result.output)["optimum"] == 334
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def test_out_of_memory_while_parsing_is_a_usage_error(runner, tmp_path, monkeypatch):
+    path = tmp_path / "k2.col"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    monkeypatch.setattr(cli_mod, "parse_dimacs", _out_of_memory)
+    result = invoke(runner, "solve", str(path))
+    assert result.exit_code == 2
+    assert result.output == "Error: out of memory: the input is too large for this machine\n"
+
+
+def test_out_of_memory_while_generating_is_a_usage_error(runner, monkeypatch):
+    monkeypatch.setitem(FAMILIES, "complete", (_out_of_memory, ("n",)))
+    result = invoke(runner, "gen", "complete", "--n", "20000")
+    assert result.exit_code == 2
+    assert "out of memory" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_any_other_exception_still_propagates(runner, tmp_path, monkeypatch):
+    def broken(text):
+        raise RuntimeError("not a memory error")
+
+    path = tmp_path / "k2.col"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    monkeypatch.setattr(cli_mod, "parse_dimacs", broken)
+    with pytest.raises(RuntimeError, match="not a memory error"):
+        invoke(runner, "solve", str(path))
 
 
 def test_bounds_text_output(runner, tmp_path):

@@ -24,7 +24,7 @@ from signdom import (
     run_campaign,
     solve_bruteforce,
 )
-from signdom.graph import DegreeProfile
+from signdom.graph import FAMILIES, DegreeProfile
 from signdom.verify import MAX_COUNTEREXAMPLES, _k_values, _slices
 
 from oracles import naive_closed_sums
@@ -61,6 +61,16 @@ def test_build_ensemble_contents():
         if label.startswith("gnp"):
             assert is_connected(g)
             assert 4 <= g.vertex_count <= 5
+
+
+def test_every_ensemble_member_is_connected():
+    # the battery treats every bound and degree inequality that needs a
+    # connected graph as applicable, so no member may be disconnected
+    spec = EnsembleSpec(n_min=1, n_max=12, p_values=(0.0, 0.1, 0.5, 1.0), seeds_per_cell=8)
+    ensemble = build_ensemble(spec)
+    for label, g in ensemble:
+        assert is_connected(g), label
+    assert {label.split("(")[0] for label, _ in ensemble} == set(FAMILIES)
 
 
 def test_build_ensemble_rejects_unknown_family():
