@@ -39,7 +39,6 @@ from .solver import (
     EvalResult,
     Mode,
     SignAssignment,
-    SolveResult,
     bnb_optima,
     bruteforce_optima_both,
     evaluate,
@@ -343,14 +342,24 @@ def _graph_battery(
     ``graph`` is connected, as every ``_members`` graph is, so every
     bound and degree inequality that needs connectivity applies to it.
     The bounds are read from ``bound_values``, once for each k checked
-    and once for k = n, which ksub-reduction compares."""
+    and once for k = n, which ksub-reduction compares.
+
+    Every check but oracle-equivalence reads the answer of
+    ``bnb_optima``, the engine that ``signdom solve`` prints, for each
+    mode and k at every n. The exhaustive oracle is read by
+    oracle-equivalence alone, so it runs only when that check is active
+    and n <= ``BRUTE_FORCE_CAP``. On a searched answer, witness-validity
+    repeats ``bnb_optima``'s own check of its witness; it still tests
+    the k = 1 answers and the reused answers, which no internal check
+    covers."""
     tally = _Tally(label, graph, results)
     active = results.keys()
     profile = degree_profile(graph)
     n = graph.vertex_count
 
     # A check not in ``active`` is dropped by tally.count and tally.fail;
-    # the gates below only skip work: the solves, the bounds and greedy_upper.
+    # the gates below only skip work: the solves, the oracle, the bounds
+    # and greedy_upper.
     lhs = 2 * profile.ceil_half_sum(n)
     rhs = 2 * profile.m + n + profile.n_e
     tally.count("degree-identity", 1)
@@ -365,10 +374,10 @@ def _graph_battery(
     if not (_SOLVE_CHECKS & active):
         return
 
-    oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_FORCE_CAP else {}
+    oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_FORCE_CAP and "oracle-equivalence" in active else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
     parities = [(d + 1) & 1 for d in degrees]  # a closed sum has the parity of |N[v]|
-    exact: dict[Mode, dict[int, SolveResult]] = {}
+    exact = {mode: bnb_optima(graph, mode, ks) for mode in Mode}
     evals: dict[Mode, dict[int, EvalResult]] = {}  # of exact's witness, evaluated once
     tally.count("witness-validity", 2 * len(ks))  # one per mode and k
     tally.count("parity", 4 * len(ks))  # optimum and closed sums, per mode and k
@@ -376,14 +385,11 @@ def _graph_battery(
         tally.count("oracle-equivalence", 4 * len(ks))  # optimum and witness, per mode and k
     for mode in Mode:
         oracle = oracles.get(mode, {})
-        solved = bnb_optima(graph, mode, ks)
-        best_of = exact[mode] = {}
         evals_of = evals[mode] = {}
         for k in ks:
-            bnb = solved[k]
+            bnb = exact[mode][k]
             brute = oracle.get(k)
-            best = best_of[k] = brute if brute is not None else bnb
-            ev = evals_of[k] = evaluate(graph, best.witness, mode)
+            ev = evals_of[k] = evaluate(graph, bnb.witness, mode)
             if brute is not None:
                 if bnb.optimum != brute.optimum:
                     tally.fail(
@@ -394,32 +400,32 @@ def _graph_battery(
                         k=k,
                         mode=mode,
                     )
-                if bnb.witness != brute.witness:
+                if (bnb.witness, bnb.satisfied_count) != (brute.witness, brute.satisfied_count):
                     tally.fail(
                         "oracle-equivalence",
-                        bnb.witness.to_string(),
-                        brute.witness.to_string(),
-                        "canonical witness agreement",
+                        f"{bnb.witness.to_string()}, satisfied={bnb.satisfied_count}",
+                        f"{brute.witness.to_string()}, satisfied={brute.satisfied_count}",
+                        "canonical witness and its satisfied count",
                         k=k,
                         mode=mode,
                     )
             if not (
-                ev.weight == best.optimum
-                and ev.satisfied_count == best.satisfied_count
+                ev.weight == bnb.optimum
+                and ev.satisfied_count == bnb.satisfied_count
                 and ev.satisfied_count >= k
             ):
                 tally.fail(
                     "witness-validity",
                     f"weight={ev.weight}, satisfied={ev.satisfied_count}",
-                    f"weight={best.optimum}, satisfied={best.satisfied_count}>={k}",
+                    f"weight={bnb.optimum}, satisfied={bnb.satisfied_count}>={k}",
                     "witness evaluates to the reported optimum, count and feasibility",
                     k=k,
                     mode=mode,
                 )
-            if (best.optimum - n) % 2 != 0:
+            if (bnb.optimum - n) % 2 != 0:
                 tally.fail(
                     "parity",
-                    best.optimum,
+                    bnb.optimum,
                     f"congruent to {n} mod 2",
                     "optimum weight parity",
                     k=k,
@@ -552,9 +558,12 @@ def run_campaign(
     """Run the selected checks over the ensemble and aggregate a report.
 
     Every graph is solved by branch-and-bound, one call per mode for all
-    of its k; graphs with at most ``BRUTE_FORCE_CAP`` (20) vertices are
-    also solved by one exhaustive enumeration for both modes, the oracle
-    of the oracle-equivalence check. Each slice of the ensemble
+    of its k, and every check reads that answer. Only when
+    oracle-equivalence is selected are graphs with at most
+    ``BRUTE_FORCE_CAP`` (20) vertices also solved by one exhaustive
+    enumeration for both modes, the oracle that check compares with;
+    ``graphs_without_oracle`` counts the graphs above the cap either
+    way. Each slice of the ensemble
     (``_slices``) is built, checked and tallied on its own, so memory
     does not grow with the ensemble. ``workers`` > 1 hands the slices to a
     process pool of at most one worker per slice, and a single slice

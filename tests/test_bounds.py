@@ -278,6 +278,28 @@ def test_ksub_bounds_reduce_to_full_bounds_at_k_n(g):
 
 
 @given(graphs(min_n=1))
+def test_nn1_and_nn3_extend_the_prior_bounds(g):
+    """nn1 >= prior_hua on every graph, and nn3 >= prior_halfn on every
+    connected graph, where delta >= 1 unless the graph is K_1."""
+    p = degree_profile(g)
+    assert bound_nn_1(p) - bound_prior_hua(p) == Fraction(2 * p.n_e, p.Delta + p.delta + 2) >= 0
+    gap = bound_nn_3(p) - bound_prior_halfn(p)
+    assert gap == Fraction((p.delta - 1) * (p.n + 2 * p.m) + 2 * p.n_e, 2 * (p.delta + 1))
+    if is_connected(g):
+        assert gap >= 0
+
+
+@pytest.mark.parametrize("p, seed, below", [(0.2, 39, {"nn4", "nn5"}), (0.1, 18, {"nn5"})])
+def test_nn4_and_nn5_do_not_extend_prior_halfn(p, seed, below):
+    # connected trees on 13 vertices, where prior_halfn = 13/2 - 12 = -11/2
+    g = gen_gnp(13, p, seed)
+    profile = degree_profile(g)
+    assert is_connected(g) and profile.m == 12
+    values = {"nn4": bound_nn_4(profile), "nn5": bound_nn_5(profile)}
+    assert {name for name, v in values.items() if v < bound_prior_halfn(profile)} == below
+
+
+@given(graphs(min_n=1))
 def test_regular_bound_equals_ksub1_on_regular_graphs(g):
     p = degree_profile(g)
     if not p.is_regular:

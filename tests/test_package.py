@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 from pathlib import Path
@@ -31,3 +32,33 @@ def test_readme_library_quick_start_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == ["0", "++++----", "0 0"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, apart from ``__future__``
+    and star imports."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from x import *\n"
+        "from y import a, b as c, d\n"
+        "d = print(a)\n"
+    )
+    assert _unused_imports(source) == ["os", "c", "d"]  # d is only rebound
+
+
+def test_no_signdom_module_imports_a_name_it_does_not_use():
+    for path in sorted(Path(signdom.__file__).parent.glob("*.py")):
+        assert _unused_imports(path.read_text()) == [], path.name

@@ -130,6 +130,20 @@ def test_a_single_check_campaign_counts_as_the_all_checks_campaign(mixed_all_che
     assert alone.passed > 0
 
 
+def test_a_campaign_without_oracle_equivalence_never_calls_the_oracle(monkeypatch, mixed_all_checks):
+    def refused(graph, ks):
+        raise AssertionError("the oracle ran for a campaign that does not read it")
+
+    monkeypatch.setattr(verify_mod, "bruteforce_optima_both", refused)
+    checks = tuple(name for name in CHECK_NAMES if name != "oracle-equivalence")
+    report = run_campaign(MIXED, k_policy="all", checks=checks)
+    assert report.all_passed
+    assert [c.name for c in report.checks] == sorted(checks)
+    for check in report.checks:  # parity among them: the same counts as with the oracle
+        full = mixed_all_checks[check.name]
+        assert (check.passed, check.failed) == (full.passed, full.failed)
+
+
 def test_campaign_full_k_sweep():
     spec = EnsembleSpec(families=("cycle", "hajos"), n_max=6, seeds_per_cell=1)
     report = run_campaign(spec, k_policy="all")
@@ -388,16 +402,18 @@ def _last_optimal_witness(graph, k, mode, optimum):
     raise AssertionError("no optimal witness")
 
 
-def test_degree_inequalities_evaluate_the_oracle_witness(monkeypatch):
+def test_degree_inequalities_evaluate_the_bnb_witness(monkeypatch):
     real_solve = verify_mod.bnb_optima
     real_evaluate = verify_mod.evaluate
     evaluated = []
 
-    def other_witness(graph, mode, ks):  # the optima with other optimal witnesses
-        return {
-            k: dataclasses.replace(r, witness=_last_optimal_witness(graph, k, mode, r.optimum))
-            for k, r in real_solve(graph, mode, ks).items()
-        }
+    def other_witness(graph, mode, ks):  # the optima with other optimal witnesses and their counts
+        answers = {}
+        for k, r in real_solve(graph, mode, ks).items():
+            f = _last_optimal_witness(graph, k, mode, r.optimum)
+            satisfied = real_evaluate(graph, f, mode).satisfied_count
+            answers[k] = dataclasses.replace(r, witness=f, satisfied_count=satisfied)
+        return answers
 
     def spy(graph, f, mode):
         evaluated.append((graph, f, mode))
@@ -411,19 +427,18 @@ def test_degree_inequalities_evaluate_the_oracle_witness(monkeypatch):
 
     assert report.check("oracle-equivalence").failed > 0
     assert report.check("witness-validity").failed == 0
+    assert report.check("degree-inequalities").failed == 0
     differ = 0
     for _, graph in build_ensemble(spec):
         ks = _k_values(graph.vertex_count, "default")
         others = other_witness(graph, Mode.NONNEG, ks)
         for k in ks:
-            oracle = solve_bruteforce(graph, k, Mode.NONNEG).witness
-            if others[k].witness != oracle:
-                differ += 1
-                assert (graph, oracle, Mode.NONNEG) in evaluated
+            assert (graph, others[k].witness, Mode.NONNEG) in evaluated
+            differ += others[k].witness != solve_bruteforce(graph, k, Mode.NONNEG).witness
     assert differ > 0
 
 
-def test_witness_validity_checks_the_oracle_satisfied_count(monkeypatch):
+def test_oracle_equivalence_checks_the_oracle_satisfied_count(monkeypatch):
     real = verify_mod.bruteforce_optima_both
 
     def miscounted(graph, ks):  # every answer claims one satisfied vertex too many
@@ -433,10 +448,16 @@ def test_witness_validity_checks_the_oracle_satisfied_count(monkeypatch):
         }
 
     monkeypatch.setattr(verify_mod, "bruteforce_optima_both", miscounted)
-    report = run_campaign(EnsembleSpec(families=("cycle",), n_max=6), checks=("witness-validity",))
-    check = report.check("witness-validity")
-    assert check.passed == 0 and check.failed > 0
-    assert "satisfied=" in check.counterexamples[0].expected
+    checks = ("oracle-equivalence", "witness-validity")
+    report = run_campaign(EnsembleSpec(families=("cycle",), n_max=6), checks=checks)
+    check = report.check("oracle-equivalence")
+    # the witness result of every graph, mode and k fails; every optimum agrees
+    assert check.failed == 2 * sum(len(_k_values(n, "default")) for n in range(3, 7)) == 24
+    ce = check.counterexamples[0]
+    assert (ce.observed, ce.expected) == ("++-, satisfied=3", "++-, satisfied=4")
+    assert ce.detail == "canonical witness and its satisfied count"
+    # witness-validity reads bnb_optima's answer, which the oracle does not touch
+    assert report.check("witness-validity").failed == 0
 
 
 def test_counterexample_payload_fields(monkeypatch):
@@ -465,11 +486,11 @@ def test_counterexample_payload_fields(monkeypatch):
         assert graph == graphs[ce["graph_label"]]  # the same vertex count and edges
 
 
-def _each_oracle_answer(change):
-    """A mutant of bruteforce_optima_both that passes each of its answers
-    through ``change(mode, answer)``."""
-    return lambda original: lambda graph, ks: {
-        mode: {k: change(mode, r) for k, r in by_k.items()} for mode, by_k in original(graph, ks).items()
+def _each_answer(change):
+    """A mutant of bnb_optima that passes each of its answers through
+    ``change(mode, answer)``."""
+    return lambda original: lambda graph, mode, ks: {
+        k: change(mode, r) for k, r in original(graph, mode, ks).items()
     }
 
 
@@ -497,18 +518,16 @@ PINNED_COUNTEREXAMPLES = [
      lambda original: lambda profile: original(profile) + 1,
      (1, [(6, None, "0", "1", "ksub1 at k=n vs nn2")])),
     ("oracle-equivalence", verify_mod, "bnb_optima",
-     lambda original: lambda graph, mode, ks: {
-         k: dataclasses.replace(r, optimum=r.optimum + 2) for k, r in original(graph, mode, ks).items()
-     },
+     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 2)),
      (6, [(1, "nonneg", "0", "-2", "branch-and-bound optimum vs exhaustive optimum")])),
-    ("witness-validity", verify_mod, "bruteforce_optima_both",
-     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1)),
+    ("witness-validity", verify_mod, "bnb_optima",
+     _each_answer(lambda mode, r: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1)),
      (6, [(1, "nonneg", "weight=-2, satisfied=1", "weight=-2, satisfied=2>=1",
            "witness evaluates to the reported optimum, count and feasibility")])),
     ("parity", verify_mod, "evaluate", _shifted_sums(1),
      (6, [(1, "nonneg", "(0, 0, 0, 0, 0, 2)", "each sum congruent to deg+1 mod 2", "closed-sum parity")])),
-    ("parity", verify_mod, "bruteforce_optima_both",
-     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 1)),
+    ("parity", verify_mod, "bnb_optima",
+     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 1)),
      (6, [(1, "nonneg", "-1", "congruent to 6 mod 2", "optimum weight parity")])),
     ("bound-dominance", bounds_mod, "bound_nn_3",
      lambda original: lambda profile: original(profile) + 3,
@@ -521,14 +540,14 @@ PINNED_COUNTEREXAMPLES = [
      (2, [(6, "nonneg", "3", ">= 6", "induced P-degrees vs sum of ceil((deg-1)/2) over P")])),
     ("degree-inequalities", verify_mod, "evaluate", _shifted_sums(1),
      (1, [(1, "nonneg", "10", ">= 15", "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1")])),
-    ("monotonicity", verify_mod, "bruteforce_optima_both",
-     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=-r.satisfied_count)),
+    ("monotonicity", verify_mod, "bnb_optima",
+     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=-r.satisfied_count)),
      (2, [(None, "nonneg", "{1: -1, 3: -6, 6: -6}", "nondecreasing in k", "optimum as a function of k")])),
-    ("mode-dominance", verify_mod, "bruteforce_optima_both",
-     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 4 * (mode is Mode.NONNEG))),
+    ("mode-dominance", verify_mod, "bnb_optima",
+     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 4 * (mode is Mode.NONNEG))),
      (3, [(1, None, "nonneg=2, signed=-2", "nonneg <= signed", "threshold relaxation can only lower the optimum")])),
-    ("even-graph-equality", verify_mod, "bruteforce_optima_both",
-     _each_oracle_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum - 2 * (mode is Mode.NONNEG))),
+    ("even-graph-equality", verify_mod, "bnb_optima",
+     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum - 2 * (mode is Mode.NONNEG))),
      (3, [(1, None, "nonneg=-4, signed=-2", "equal on even graphs", "all degrees even forces both modes to coincide")])),
 ]
 
