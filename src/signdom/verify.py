@@ -197,7 +197,7 @@ class CampaignReport:
     graph_count: int
     checks: list[CheckResult]
     checks_recorded: int  # results recorded, passed or failed; 0: nothing tested
-    graphs_without_oracle: int  # graphs above BRUTE_FORCE_CAP, checked by no second engine
+    graphs_without_oracle: int  # graphs no oracle checked: none ran, or n > BRUTE_FORCE_CAP
     all_passed: bool
     generated_at: str
 
@@ -336,8 +336,9 @@ def _degree_inequality_subdomination(
 
 def _graph_battery(
     label: str, graph: Graph, ks: tuple[int, ...], results: dict[str, CheckResult]
-) -> None:
-    """Run every active check on one graph, counting into ``results``.
+) -> bool:
+    """Run every active check on one graph, counting into ``results``;
+    true when the exhaustive oracle checked it.
 
     ``graph`` is connected, as every ``_members`` graph is, so every
     bound and degree inequality that needs connectivity applies to it.
@@ -372,16 +373,17 @@ def _graph_battery(
             tally.fail("ksub-reduction", at_n[ksub], at_n[nn], f"{ksub} at k=n vs {nn}", k=n)
 
     if not (_SOLVE_CHECKS & active):
-        return
+        return False
 
-    oracles = bruteforce_optima_both(graph, ks) if n <= BRUTE_FORCE_CAP and "oracle-equivalence" in active else {}
+    checked = n <= BRUTE_FORCE_CAP and "oracle-equivalence" in active
+    oracles = bruteforce_optima_both(graph, ks) if checked else {}
     degrees = [len(nbrs) for nbrs in graph.adjacency]
     parities = [(d + 1) & 1 for d in degrees]  # a closed sum has the parity of |N[v]|
     exact = {mode: bnb_optima(graph, mode, ks) for mode in Mode}
     evals: dict[Mode, dict[int, EvalResult]] = {}  # of exact's witness, evaluated once
     tally.count("witness-validity", 2 * len(ks))  # one per mode and k
     tally.count("parity", 4 * len(ks))  # optimum and closed sums, per mode and k
-    if oracles:
+    if checked:
         tally.count("oracle-equivalence", 4 * len(ks))  # optimum and witness, per mode and k
     for mode in Mode:
         oracle = oracles.get(mode, {})
@@ -516,21 +518,22 @@ def _graph_battery(
                 "all degrees even forces both modes to coincide",
                 k=k,
             )
+    return checked
 
 
 def _slice_battery(
     task: tuple[EnsembleSpec, str, frozenset[str]]
 ) -> tuple[int, int, list[CheckResult]]:
     """Build one slice of the ensemble and check each of its graphs: its
-    graph count, its count of graphs above ``BRUTE_FORCE_CAP`` and one
-    result per active check, in name order."""
+    graph count, its count of graphs no oracle checked and one result per
+    active check, in name order."""
     spec, k_policy, active = task
     results = {name: CheckResult(name) for name in sorted(active)}
     ensemble = build_ensemble(spec)
+    unchecked = 0
     for label, graph in ensemble:
-        _graph_battery(label, graph, _k_values(graph.vertex_count, k_policy), results)
-    above = sum(graph.vertex_count > BRUTE_FORCE_CAP for _, graph in ensemble)
-    return len(ensemble), above, list(results.values())
+        unchecked += not _graph_battery(label, graph, _k_values(graph.vertex_count, k_policy), results)
+    return len(ensemble), unchecked, list(results.values())
 
 
 def _replies(
@@ -562,10 +565,9 @@ def run_campaign(
     oracle-equivalence is selected are graphs with at most
     ``BRUTE_FORCE_CAP`` (20) vertices also solved by one exhaustive
     enumeration for both modes, the oracle that check compares with;
-    ``graphs_without_oracle`` counts the graphs above the cap either
-    way. Each slice of the ensemble
-    (``_slices``) is built, checked and tallied on its own, so memory
-    does not grow with the ensemble. ``workers`` > 1 hands the slices to a
+    ``graphs_without_oracle`` counts the graphs it did not check. Each
+    slice of the ensemble (``_slices``) is built, checked and tallied on
+    its own, so memory does not grow with the ensemble. ``workers`` > 1 hands the slices to a
     process pool of at most one worker per slice, and a single slice
     runs in-process; the tallies are merged in ensemble order either way.
     """
@@ -583,9 +585,9 @@ def run_campaign(
     merged = {name: CheckResult(name) for name in sorted(active)}
     graph_count = without_oracle = 0
     # a worker beyond the number of slices would start and get no work
-    for count, above, results in _replies(tasks, min(workers, len(tasks))):
+    for count, unchecked, results in _replies(tasks, min(workers, len(tasks))):
         graph_count += count
-        without_oracle += above
+        without_oracle += unchecked
         for result in results:
             target = merged[result.name]
             target.passed += result.passed

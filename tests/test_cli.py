@@ -343,9 +343,11 @@ def test_verify_small_ensemble_passes(runner, tmp_path):
 
 
 def test_verify_text_names_the_graphs_without_an_oracle(runner):
-    result = runner.invoke(main, ["verify", "--family", "cycle", "--n-max", "22", "--check", "parity"])
-    assert result.exit_code == 0, result.output
-    assert "graphs without an oracle (n > 20): 2\n" in result.output
+    for check, unchecked in (("parity", 20), ("oracle-equivalence", 2)):
+        args = ["verify", "--family", "cycle", "--n-max", "22", "--check", check]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert f"graphs without an oracle: {unchecked}\n" in result.output
 
 
 def test_verify_bound_dominance_on_complete_family(runner):

@@ -1,8 +1,12 @@
 import ast
 import contextlib
 import io
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import signdom
 from signdom import bounds, graph, reference, solver, verify
@@ -16,12 +20,71 @@ def test_package_re_exports_exactly_the_submodules_public_names():
     }
     exported = {
         name
-        for name, value in vars(signdom).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        for name in dir(signdom)
+        if not name.startswith("_") and not isinstance(getattr(signdom, name), ModuleType)
     }
     assert exported == set(listed)
     for name, module in listed.items():
         assert getattr(signdom, name) is getattr(module, name), name
+
+
+def test_star_import_gives_every_listed_name():
+    namespace: dict[str, object] = {}
+    exec("from signdom import *", namespace)
+    for module in (bounds, graph, reference, solver, verify):
+        assert namespace[module.__name__.rsplit(".", 1)[1]] is module
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+
+def _signdom_modules_after(statements: str) -> list[str]:
+    """The signdom modules a fresh interpreter holds after ``import
+    signdom`` and ``statements``."""
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import signdom\n"
+        f"{statements}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'signdom')))\n"
+    )
+    src = str(Path(signdom.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+
+
+SOLVING = ["signdom", "signdom.graph", "signdom.solver"]
+
+
+def test_import_loads_only_what_solving_needs():
+    # bounds, reference and verify were 41 % of the import's CPU time
+    assert _signdom_modules_after("signdom.solve_bnb, signdom.Graph") == SOLVING
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        "getattr(signdom, '__wrapped__', None)",
+        "getattr(signdom, '__test__', None)",
+        "hasattr(signdom, '_private')",
+    ],
+)
+def test_a_dunder_or_private_probe_loads_nothing(probe):
+    assert _signdom_modules_after(f"assert not {probe}") == SOLVING
+
+
+@pytest.mark.parametrize(
+    "read, loaded",
+    [
+        ("signdom.reference_table", ["signdom.reference"]),
+        ("signdom.bound_report", ["signdom.bounds", "signdom.reference"]),
+        ("from signdom import bounds", ["signdom.bounds"]),
+        ("signdom.run_campaign", ["signdom.bounds", "signdom.reference", "signdom.verify"]),
+        ("assert not hasattr(signdom, 'nope')", ["signdom.bounds", "signdom.reference", "signdom.verify"]),
+    ],
+)
+def test_a_deferred_name_loads_the_modules_searched_up_to_its_own(read, loaded):
+    assert _signdom_modules_after(read) == sorted(SOLVING + loaded)
 
 
 def test_readme_library_quick_start_prints_what_its_comments_say():

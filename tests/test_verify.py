@@ -96,11 +96,19 @@ def test_empty_campaign_does_not_pass():
 
 
 def test_campaign_counts_the_graphs_without_an_oracle():
-    # C_21 and C_22 are above BRUTE_FORCE_CAP; the count stays out of the
-    # report's dict, so the determinism of criterion 10 reads the same keys
-    report = run_campaign(EnsembleSpec(families=("cycle",), n_max=22), checks=("parity",))
-    assert report.graphs_without_oracle == 2
-    assert "graphs_without_oracle" not in report.to_dict()
+    # C_3..C_22; the count stays out of the report's dict, so the
+    # determinism of criterion 10 reads the same keys
+    spec = EnsembleSpec(families=("cycle",), n_max=22)
+    for checks, unchecked in (
+        (("parity",), 20),  # no check reads the oracle, so it checks no graph
+        (("degree-identity",), 20),  # no solve at all
+        (("oracle-equivalence",), 2),  # C_21 and C_22 are above BRUTE_FORCE_CAP
+        (("oracle-equivalence", "parity"), 2),
+    ):
+        report = run_campaign(spec, checks=checks)
+        assert report.graph_count == 20
+        assert report.graphs_without_oracle == unchecked, checks
+        assert "graphs_without_oracle" not in report.to_dict()
 
 
 def test_campaign_check_filter():
