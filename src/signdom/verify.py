@@ -567,9 +567,10 @@ def run_campaign(
     enumeration for both modes, the oracle that check compares with;
     ``graphs_without_oracle`` counts the graphs it did not check. Each
     slice of the ensemble (``_slices``) is built, checked and tallied on
-    its own, so memory does not grow with the ensemble. ``workers`` > 1 hands the slices to a
-    process pool of at most one worker per slice, and a single slice
-    runs in-process; the tallies are merged in ensemble order either way.
+    its own, so memory does not grow with the ensemble. ``workers`` > 1
+    hands the slices to a process pool of at most one worker per slice,
+    and a single slice runs in-process; the tallies are merged in
+    ensemble order either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
