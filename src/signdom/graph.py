@@ -8,8 +8,7 @@ Graphs are frozen after construction and safe to share between threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "GraphError",
@@ -46,35 +45,45 @@ class GraphValidationError(GraphError):
     """Structurally invalid graph: self-loop, duplicate edge, or bad id."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    vertex_count: int
+    adjacency: tuple[frozenset[int], ...]
+
+
+class Graph(_GraphFields):
     """Simple undirected graph on vertices 0..vertex_count-1.
 
     ``adjacency[v]`` is the open neighborhood of ``v``. The constructor is
     the one home of the structural rules: n >= 0, one entry per vertex, no
     self-loops, ids in range and symmetry. :meth:`from_edges` builds from an
-    edge list and additionally rejects repeated edges.
+    edge list and additionally rejects repeated edges. A graph is a named
+    tuple; ``_replace``, ``copy`` and unpickling build it through the
+    constructor too.
     """
 
-    vertex_count: int
-    adjacency: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
+    def __new__(cls, vertex_count: int, adjacency: tuple[frozenset[int], ...]) -> "Graph":
+        n = vertex_count
         if n < 0:
             raise GraphValidationError("vertex_count must be nonnegative")
-        if len(self.adjacency) != n:
+        if len(adjacency) != n:
             raise GraphValidationError(
-                f"adjacency has {len(self.adjacency)} entries for {n} vertices"
+                f"adjacency has {len(adjacency)} entries for {n} vertices"
             )
-        for v, nbrs in enumerate(self.adjacency):
+        for v, nbrs in enumerate(adjacency):
             if v in nbrs:
                 raise GraphValidationError(f"self-loop at vertex {v}")
             for u in nbrs:
                 if not 0 <= u < n:
                     raise GraphValidationError(f"vertex id {u} out of range 0..{n - 1}")
-                if v not in self.adjacency[u]:
+                if v not in adjacency[u]:
                     raise GraphValidationError(f"asymmetric adjacency between {u} and {v}")
+        return super().__new__(cls, vertex_count, adjacency)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Graph":
+        return cls(*iterable)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -131,8 +140,7 @@ def check_ks(n: int, ks: Iterable[int]) -> list[int]:
     return ks
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Degree statistics of a graph.
 
     ``delta``/``Delta`` are the minimum/maximum degree, ``degrees_sorted``

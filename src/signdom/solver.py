@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, insort
-from dataclasses import dataclass, fields
 from itertools import accumulate
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, check_ks
 
@@ -80,17 +79,24 @@ class Mode(enum.Enum):
         self.threshold = 0 if value == "nonneg" else 1
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """Total function V -> {-1, +1}, stored as a tuple indexed by vertex."""
-
+class _SignFields(NamedTuple):
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = self.values
+
+class SignAssignment(_SignFields):
+    """Total function V -> {-1, +1}, stored as a tuple indexed by vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[int, ...]) -> "SignAssignment":
         if values.count(1) + values.count(-1) != len(values):  # one pass each, in C
             bad = next(x for x in values if x not in (-1, 1))
             raise ValueError(f"signs must be -1 or +1, got {bad!r}")
+        return super().__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SignAssignment":
+        return cls(*iterable)
 
     @classmethod
     def all_plus(cls, n: int) -> "SignAssignment":
@@ -104,8 +110,7 @@ class SignAssignment:
         return sum(self.values)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Assignment evaluation: weight, per-vertex closed-neighborhood sums
     and the number of vertices whose sum clears the mode's threshold."""
 
@@ -119,14 +124,14 @@ def evaluate(graph: Graph, f: SignAssignment, mode: Mode) -> EvalResult:
     if len(f.values) != n:
         raise ValueError(f"assignment covers {len(f.values)} vertices, graph has {n}")
     vals = f.values
-    value = vals.__getitem__
-    sums = tuple([x + sum(map(value, nbrs)) for x, nbrs in zip(vals, graph.adjacency)])
+    # f(N[v]) = f(v) + |N(v)| - 2 |N(v) & M|, with M the -1 vertices
+    minus = {v for v, x in enumerate(vals) if x < 0}
+    sums = tuple([x + len(nbrs) - 2 * len(nbrs & minus) for x, nbrs in zip(vals, graph.adjacency)])
     tau = mode.threshold
     return EvalResult(sum(vals), sums, sum([s >= tau for s in sums]))
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Work done by one solve: nodes visited (every assignment for brute
     force; every node of the one search, witness included, for
     branch-and-bound) and branch-and-bound prunes by reason."""
@@ -141,8 +146,7 @@ class SearchStats:
 _NO_SEARCH = SearchStats()  # shared by every answer found without a search
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     optimum: int
     witness: SignAssignment
     satisfied_count: int
@@ -521,5 +525,5 @@ def result_record(graph: Graph, k: int, mode: Mode, result: SolveResult) -> dict
         "optimum": result.optimum,
         "satisfied_count": result.satisfied_count,
         "witness": result.witness.to_string(),
-        **{f"stats.{f.name}": getattr(result.stats, f.name) for f in fields(SearchStats)},
+        **{f"stats.{name}": value for name, value in zip(SearchStats._fields, result.stats)},
     }

@@ -7,7 +7,6 @@ cell, plus all named families with n <= 9, k swept over {1, ceil(n/2),
 n} in both modes).
 """
 
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -201,14 +200,14 @@ def test_all_k_campaign_counts_are_pinned():
 
 def _bnb_optimum_plus_2(original):
     return lambda graph, mode, ks: {
-        k: dataclasses.replace(r, optimum=r.optimum + 2) for k, r in original(graph, mode, ks).items()
+        k: r._replace(optimum=r.optimum + 2) for k, r in original(graph, mode, ks).items()
     }
 
 
 def _closed_sums_plus_1(original):
     def mutant(graph, f, mode):
         ev = original(graph, f, mode)
-        return dataclasses.replace(ev, closed_sums=tuple(s + 1 for s in ev.closed_sums))
+        return ev._replace(closed_sums=tuple(s + 1 for s in ev.closed_sums))
 
     return mutant
 

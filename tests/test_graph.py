@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -94,6 +97,35 @@ def test_graph_is_immutable():
     g = gen_cycle(4)
     with pytest.raises(AttributeError):
         g.vertex_count = 5
+
+
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        (
+            (frozenset({1, 3}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2})),
+            "asymmetric adjacency between 3 and 0",
+        ),
+        (
+            (frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2, 4})),
+            "vertex id 4 out of range 0..3",
+        ),
+    ],
+)
+def test_replace_goes_through_the_constructor(adjacency, message):
+    with pytest.raises(GraphValidationError) as info:
+        gen_path(4)._replace(adjacency=adjacency)
+    assert str(info.value) == message
+
+
+def test_copy_and_pickle_go_through_the_constructor():
+    g = gen_sun(2)
+    assert copy.copy(g) == g
+    assert pickle.loads(pickle.dumps(g)) == g
+    # a tuple built around the constructor is refused when it is loaded back
+    broken = tuple.__new__(Graph, (2, (frozenset({1}), frozenset())))
+    with pytest.raises(GraphValidationError, match="asymmetric"):
+        pickle.loads(pickle.dumps(broken))
 
 
 def test_basic_accessors():

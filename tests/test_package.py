@@ -37,20 +37,24 @@ def test_star_import_gives_every_listed_name():
             assert namespace[name] is getattr(module, name), name
 
 
+def _fresh_interpreter(body: str) -> str:
+    """What a fresh interpreter prints for ``body``, with this signdom
+    first on its path."""
+    src = str(Path(signdom.__file__).resolve().parents[1])
+    probe = f"import sys\nsys.path.insert(0, sys.argv[1])\n{body}\n"
+    return subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout
+
+
 def _signdom_modules_after(statements: str) -> list[str]:
     """The signdom modules a fresh interpreter holds after ``import
     signdom`` and ``statements``."""
-    probe = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
+    return _fresh_interpreter(
         "import signdom\n"
         f"{statements}\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'signdom')))\n"
-    )
-    src = str(Path(signdom.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
-    ).stdout.split()
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'signdom')))"
+    ).split()
 
 
 SOLVING = ["signdom", "signdom.graph", "signdom.solver"]
@@ -59,6 +63,17 @@ SOLVING = ["signdom", "signdom.graph", "signdom.solver"]
 def test_import_loads_only_what_solving_needs():
     # bounds, reference and verify were 41 % of the import's CPU time
     assert _signdom_modules_after("signdom.solve_bnb, signdom.Graph") == SOLVING
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses and the inspect it imports took most of the import's time;
+    # a module loaded before the import (say by a site hook) does not count
+    loaded = _fresh_interpreter(
+        "before = set(sys.modules)\n"
+        "import signdom\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+    )
+    assert loaded.split() == []
 
 
 @pytest.mark.parametrize(

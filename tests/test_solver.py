@@ -52,6 +52,37 @@ def test_sign_assignment_basics():
         SignAssignment((1, 0, -1))
 
 
+def test_make_and_replace_check_the_signs():
+    with pytest.raises(ValueError, match="got 0"):
+        SignAssignment._make([(0,)])
+    with pytest.raises(ValueError, match="got 2"):
+        SignAssignment((1, -1))._replace(values=(1, 2))
+
+
+def _records():
+    """One of each record type, with its first field."""
+    graph = gen_hajos()
+    f = greedy_upper(graph, 3, Mode.NONNEG)
+    result = solve_bnb(graph, 3, Mode.NONNEG)
+    cases = [
+        (graph, "vertex_count"),
+        (degree_profile(graph), "n"),
+        (f, "values"),
+        (evaluate(graph, f, Mode.NONNEG), "weight"),
+        (result.stats, "nodes"),
+        (result, "optimum"),
+    ]
+    return [pytest.param(record, field, id=type(record).__name__) for record, field in cases]
+
+
+@pytest.mark.parametrize("record, field", _records())
+def test_every_record_refuses_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
 # --- evaluate ---
 
 

@@ -420,7 +420,7 @@ def test_degree_inequalities_evaluate_the_bnb_witness(monkeypatch):
         for k, r in real_solve(graph, mode, ks).items():
             f = _last_optimal_witness(graph, k, mode, r.optimum)
             satisfied = real_evaluate(graph, f, mode).satisfied_count
-            answers[k] = dataclasses.replace(r, witness=f, satisfied_count=satisfied)
+            answers[k] = r._replace(witness=f, satisfied_count=satisfied)
         return answers
 
     def spy(graph, f, mode):
@@ -451,7 +451,7 @@ def test_oracle_equivalence_checks_the_oracle_satisfied_count(monkeypatch):
 
     def miscounted(graph, ks):  # every answer claims one satisfied vertex too many
         return {
-            mode: {k: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1) for k, r in by_k.items()}
+            mode: {k: r._replace(satisfied_count=r.satisfied_count + 1) for k, r in by_k.items()}
             for mode, by_k in real(graph, ks).items()
         }
 
@@ -507,7 +507,7 @@ def _shifted_sums(shift):
     def wrap(original):
         def mutant(graph, f, mode):
             ev = original(graph, f, mode)
-            return dataclasses.replace(ev, closed_sums=tuple(s + shift for s in ev.closed_sums))
+            return ev._replace(closed_sums=tuple(s + shift for s in ev.closed_sums))
 
         return mutant
 
@@ -526,16 +526,16 @@ PINNED_COUNTEREXAMPLES = [
      lambda original: lambda profile: original(profile) + 1,
      (1, [(6, None, "0", "1", "ksub1 at k=n vs nn2")])),
     ("oracle-equivalence", verify_mod, "bnb_optima",
-     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 2)),
+     _each_answer(lambda mode, r: r._replace(optimum=r.optimum + 2)),
      (6, [(1, "nonneg", "0", "-2", "branch-and-bound optimum vs exhaustive optimum")])),
     ("witness-validity", verify_mod, "bnb_optima",
-     _each_answer(lambda mode, r: dataclasses.replace(r, satisfied_count=r.satisfied_count + 1)),
+     _each_answer(lambda mode, r: r._replace(satisfied_count=r.satisfied_count + 1)),
      (6, [(1, "nonneg", "weight=-2, satisfied=1", "weight=-2, satisfied=2>=1",
            "witness evaluates to the reported optimum, count and feasibility")])),
     ("parity", verify_mod, "evaluate", _shifted_sums(1),
      (6, [(1, "nonneg", "(0, 0, 0, 0, 0, 2)", "each sum congruent to deg+1 mod 2", "closed-sum parity")])),
     ("parity", verify_mod, "bnb_optima",
-     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 1)),
+     _each_answer(lambda mode, r: r._replace(optimum=r.optimum + 1)),
      (6, [(1, "nonneg", "-1", "congruent to 6 mod 2", "optimum weight parity")])),
     ("bound-dominance", bounds_mod, "bound_nn_3",
      lambda original: lambda profile: original(profile) + 3,
@@ -549,13 +549,13 @@ PINNED_COUNTEREXAMPLES = [
     ("degree-inequalities", verify_mod, "evaluate", _shifted_sums(1),
      (1, [(1, "nonneg", "10", ">= 15", "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1")])),
     ("monotonicity", verify_mod, "bnb_optima",
-     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=-r.satisfied_count)),
+     _each_answer(lambda mode, r: r._replace(optimum=-r.satisfied_count)),
      (2, [(None, "nonneg", "{1: -1, 3: -6, 6: -6}", "nondecreasing in k", "optimum as a function of k")])),
     ("mode-dominance", verify_mod, "bnb_optima",
-     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum + 4 * (mode is Mode.NONNEG))),
+     _each_answer(lambda mode, r: r._replace(optimum=r.optimum + 4 * (mode is Mode.NONNEG))),
      (3, [(1, None, "nonneg=2, signed=-2", "nonneg <= signed", "threshold relaxation can only lower the optimum")])),
     ("even-graph-equality", verify_mod, "bnb_optima",
-     _each_answer(lambda mode, r: dataclasses.replace(r, optimum=r.optimum - 2 * (mode is Mode.NONNEG))),
+     _each_answer(lambda mode, r: r._replace(optimum=r.optimum - 2 * (mode is Mode.NONNEG))),
      (3, [(1, None, "nonneg=-4, signed=-2", "equal on even graphs", "all degrees even forces both modes to coincide")])),
 ]
 
