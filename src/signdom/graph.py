@@ -57,8 +57,8 @@ class Graph(_GraphFields):
     the one home of the structural rules: n >= 0, one entry per vertex, no
     self-loops, ids in range and symmetry. :meth:`from_edges` builds from an
     edge list and additionally rejects repeated edges. A graph is a named
-    tuple; ``_replace``, ``copy`` and unpickling build it through the
-    constructor too.
+    tuple; ``_replace``, ``copy`` and unpickling at every protocol build it
+    through the constructor too.
     """
 
     __slots__ = ()
@@ -85,6 +85,9 @@ class Graph(_GraphFields):
     def _make(cls, iterable: Iterable) -> "Graph":
         return cls(*iterable)
 
+    def __reduce__(self):
+        return type(self), tuple(self)
+
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from undirected edge pairs. The constructor checks the
@@ -105,18 +108,9 @@ class Graph(_GraphFields):
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        return sorted((v, u) for v in self.vertices() for u in self.adjacency[v] if u > v)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adjacency[v] | {v}
+        return sorted((v, u) for v, nbrs in enumerate(self.adjacency) for u in nbrs if u > v)
 
     def canonical_id(self) -> str:
         """Short content hash of the canonical DIMACS serialization."""

@@ -78,6 +78,8 @@ class Mode(enum.Enum):
         # a plain attribute: every evaluation and greedy sweep reads it
         self.threshold = 0 if value == "nonneg" else 1
 
+    __hash__ = object.__hash__  # in C, not Enum's Python hash; equality is identity
+
 
 class _SignFields(NamedTuple):
     values: tuple[int, ...]
@@ -98,9 +100,8 @@ class SignAssignment(_SignFields):
     def _make(cls, iterable: Iterable) -> "SignAssignment":
         return cls(*iterable)
 
-    @classmethod
-    def all_plus(cls, n: int) -> "SignAssignment":
-        return cls((1,) * n)
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def to_string(self) -> str:
         return "".join("+" if x > 0 else "-" for x in self.values)
@@ -207,10 +208,10 @@ def solve_bruteforce(graph: Graph, k: int, mode: Mode, cap: int = BRUTE_FORCE_CA
     # lexicographic order on sign vectors with +1 < -1.
     closed = [
         (
-            sum(1 << (n - 1 - u) for u in graph.closed_neighborhood(v)),
-            (graph.degree(v) + 1 - tau) // 2,  # most negatives N[v] may hold
+            sum(1 << (n - 1 - u) for u in (v, *nbrs)),
+            (len(nbrs) + 1 - tau) // 2,  # most negatives N[v] may hold
         )
-        for v in range(n)
+        for v, nbrs in enumerate(graph.adjacency)
     ]
     optimum = n + 1  # none accepted yet
     best_mask = best_count = 0

@@ -477,7 +477,7 @@ def _graph_battery(
             full = [
                 (nonneg[n].witness, nonneg_evals[n].closed_sums),
                 (greedy, evaluate(graph, greedy, Mode.NONNEG).closed_sums),
-                (SignAssignment.all_plus(n), tuple([d + 1 for d in degrees])),
+                (SignAssignment((1,) * n), tuple([d + 1 for d in degrees])),
             ]
             for f, sums in full:
                 _degree_inequalities_full_domination(profile, degrees, f, sums, tally)

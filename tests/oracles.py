@@ -18,8 +18,8 @@ from signdom import Graph, Mode
 
 def naive_closed_sums(graph: Graph, values: tuple[int, ...]) -> list[int]:
     return [
-        values[v] + sum(values[u] for u in graph.adjacency[v])
-        for v in graph.vertices()
+        values[v] + sum(values[u] for u in nbrs)
+        for v, nbrs in enumerate(graph.adjacency)
     ]
 
 
@@ -75,14 +75,14 @@ def prior_halfn(graph: Graph) -> Fraction:
 
 def ksub1(graph: Graph, k: int) -> Fraction:
     """2 * sum_{i<=k} ceil((d_i+1)/2) / (Delta + 1) - n, in Fraction arithmetic."""
-    degrees = sorted(graph.degree(v) for v in graph.vertices())
+    degrees = sorted(len(nbrs) for nbrs in graph.adjacency)
     ceil_half = sum(math.ceil(Fraction(d + 1, 2)) for d in degrees[:k])
     return Fraction(2 * ceil_half, degrees[-1] + 1) - graph.vertex_count
 
 
 def regular(graph: Graph, k: int) -> Fraction:
     """k(r+2)/(r+1) - n for even r, k - n for odd r, on an r-regular graph."""
-    r = graph.degree(0)
+    r = len(graph.adjacency[0])
     if r % 2 == 0:
         return Fraction(k * (r + 2), r + 1) - graph.vertex_count
     return Fraction(k - graph.vertex_count)
@@ -95,10 +95,11 @@ def greedy_sweep(graph: Graph, k: int, mode: Mode) -> tuple[int, ...]:
     n = graph.vertex_count
     tau = mode.threshold
     signs = [1] * n
-    sums = [graph.degree(v) + 1 for v in range(n)]
+    adj = graph.adjacency
+    sums = [len(adj[v]) + 1 for v in range(n)]
     satisfied = n
-    for v in sorted(range(n), key=lambda v: (graph.degree(v), v)):
-        closed = graph.closed_neighborhood(v)
+    for v in sorted(range(n), key=lambda v: (len(adj[v]), v)):
+        closed = adj[v] | {v}
         lost = sum(1 for u in closed if tau <= sums[u] < tau + 2)
         if satisfied - lost >= k:
             signs[v] = -1
@@ -125,7 +126,7 @@ def _milp_program(graph: Graph, k: int, mode: Mode, weight: int | None = None):
     rows = n + 1 + (weight is not None)
     a = np.zeros((rows, 2 * n))
     lower, upper = np.full(rows, -np.inf), np.full(rows, np.inf)
-    for v in graph.vertices():
+    for v in range(n):
         closed = [v, *graph.adjacency[v]]
         a[v, closed] = 2
         a[v, n + v] = len(closed) + tau
