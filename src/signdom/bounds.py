@@ -212,17 +212,10 @@ class BoundReport:
         return record
 
 
-def _value(raw: Fraction | int, n: int, applicable: bool) -> BoundValue:
-    if isinstance(raw, int):  # nn4 and nn5 are integers already
-        raw = Fraction(raw)
-    ceil = -(-raw.numerator // raw.denominator)
-    return BoundValue(raw, ceil, parity_lift(raw, n), applicable)
-
-
-def bound_values(profile: DegreeProfile, connected: bool, k: int) -> list[tuple[str, Fraction | int]]:
-    """Name and raw value of each bound that applies to parameter ``k`` on
-    the graph with degree profile ``profile`` and connectivity
-    ``connected``, in ``BOUND_NAMES`` order.
+def bound_values(profile: DegreeProfile, connected: bool, k: int) -> dict[str, Fraction | int]:
+    """Raw value of each bound that applies to parameter ``k`` on the
+    graph with degree profile ``profile`` and connectivity ``connected``,
+    keyed by name in ``BOUND_NAMES`` order.
 
     This is the one statement of which bounds apply. Full-domination
     bounds (the prior_* and nn* families) constrain only the k = n
@@ -231,31 +224,31 @@ def bound_values(profile: DegreeProfile, connected: bool, k: int) -> list[tuple[
     bound for any k on a regular graph. Each value is read from the
     module-level ``bound_*`` function of its name.
     """
-    values: list[tuple[str, Fraction | int]] = []
+    values: dict[str, Fraction | int] = {}
     if k == profile.n:
-        values += [
-            ("prior_halfn", bound_prior_halfn(profile)),
-            ("prior_deltaceil", bound_prior_deltaceil(profile)),
-            ("prior_hua", bound_prior_hua(profile)),
-        ]
+        values.update(
+            prior_halfn=bound_prior_halfn(profile),
+            prior_deltaceil=bound_prior_deltaceil(profile),
+            prior_hua=bound_prior_hua(profile),
+        )
         if connected:
-            values += [
-                ("nn1", bound_nn_1(profile)),
-                ("nn2", bound_nn_2(profile)),
-                ("nn3", bound_nn_3(profile)),
-                ("nn4", bound_nn_4(profile)),
-                ("nn5", bound_nn_5(profile)),
-            ]
-    values += [("ksub1", bound_ksub_1(profile, k)), ("ksub2", bound_ksub_2(profile, k))]
+            values.update(
+                nn1=bound_nn_1(profile),
+                nn2=bound_nn_2(profile),
+                nn3=bound_nn_3(profile),
+                nn4=bound_nn_4(profile),
+                nn5=bound_nn_5(profile),
+            )
+    values.update(ksub1=bound_ksub_1(profile, k), ksub2=bound_ksub_2(profile, k))
     if profile.is_regular:
-        values.append(("regular", bound_regular(profile, k)))
+        values["regular"] = bound_regular(profile, k)
     return values
 
 
 def bound_report(graph: Graph, k: int) -> BoundReport:
     """Evaluate every named bound on ``graph`` for parameter ``k``.
 
-    A bound is flagged applicable exactly when :func:`bound_values` lists
+    A bound is flagged applicable exactly when :func:`bound_values` maps
     it for k. A full-domination bound that does not apply (below k = n,
     or nn* on a disconnected graph) is still reported with its value,
     which does not depend on k; the regular-graph bound is reported with
@@ -264,14 +257,14 @@ def bound_report(graph: Graph, k: int) -> BoundReport:
     n = graph.vertex_count
     check_ks(n, (k,))
     profile, connected = degree_profile(graph), is_connected(graph)
-    every = dict(bound_values(profile, True, n))  # each defined bound, hypotheses aside
-    applies = every if k == n and connected else dict(bound_values(profile, connected, k))
+    every = bound_values(profile, True, n)  # each defined bound, hypotheses aside
+    applies = every if k == n and connected else bound_values(profile, connected, k)
     bounds = {}
     for name in BOUND_NAMES:
-        if name in applies:
-            bounds[name] = _value(applies[name], n, True)
-        elif name in every:
-            bounds[name] = _value(every[name], n, False)
-        else:
+        raw = applies.get(name, every.get(name))
+        if raw is None:
             bounds[name] = BoundValue(None, None, None, False)
+        else:
+            ceil = -(-raw.numerator // raw.denominator)  # nn4 and nn5 are ints, stored as Fractions
+            bounds[name] = BoundValue(Fraction(raw), ceil, parity_lift(raw, n), name in applies)
     return BoundReport(n=n, k=k, connected=connected, bounds=bounds)

@@ -361,8 +361,8 @@ def test_bound_values_are_the_applicable_report_entries():
             report = bound_report(g, k)
             values = bound_values(profile, connected, k)
             applicable = [name for name in BOUND_NAMES if report[name].applicable]
-            assert [name for name, _ in values] == applicable, (g, k)
-            for name, raw in values:
+            assert list(values) == applicable, (g, k)
+            for name, raw in values.items():
                 b = report[name]
                 assert (b.raw, b.ceil, b.parity_lifted) == (raw, math.ceil(raw), parity_lift(raw, n))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}

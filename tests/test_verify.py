@@ -19,9 +19,12 @@ from signdom import (
     SignAssignment,
     bound_report,
     build_ensemble,
+    evaluate,
+    greedy_upper,
     is_connected,
     parse_dimacs,
     run_campaign,
+    solve_bnb,
     solve_bruteforce,
 )
 from signdom.graph import FAMILIES, DegreeProfile
@@ -446,6 +449,34 @@ def test_degree_inequalities_evaluate_the_bnb_witness(monkeypatch):
     assert differ > 0
 
 
+@pytest.mark.parametrize("family, label", [("hajos", "hajos()"), ("cycle", "cycle(n=7)")])
+def test_full_domination_inequalities_test_the_solved_k_n_witnesses(monkeypatch, family, label):
+    # the nonneg k = n witness, the greedy assignment and the signed k = n
+    # witness, each with its closed sums; never the all-(+1) assignment
+    spec = EnsembleSpec(families=(family,), n_max=7)
+    graph = dict(build_ensemble(spec))[label]
+    n = graph.vertex_count
+    real = verify_mod._degree_inequalities_full_domination
+    received = []
+
+    def spy(profile, degrees, f, sums, tally):
+        if profile.n == n:  # the family's one graph of this order
+            received.append((f, sums))
+        return real(profile, degrees, f, sums, tally)
+
+    monkeypatch.setattr(verify_mod, "_degree_inequalities_full_domination", spy)
+    report = run_campaign(spec, checks=("degree-inequalities",))
+
+    assert report.check("degree-inequalities").failed == 0
+    tested = [
+        solve_bnb(graph, n, Mode.NONNEG).witness,
+        greedy_upper(graph, n, Mode.NONNEG),
+        solve_bnb(graph, n, Mode.SIGNED).witness,
+    ]
+    assert received == [(f, evaluate(graph, f, Mode.NONNEG).closed_sums) for f in tested]
+    assert SignAssignment((1,) * n) not in tested
+
+
 def test_oracle_equivalence_checks_the_oracle_satisfied_count(monkeypatch):
     real = verify_mod.bruteforce_optima_both
 
@@ -545,7 +576,7 @@ PINNED_COUNTEREXAMPLES = [
      lambda original: lambda graph, k, mode: SignAssignment((-1,) * graph.vertex_count),
      (1, [(6, "nonneg", "0", ">= 30", "sum of P-degrees vs n + n_e - 2|P| + sum of M-degrees")])),
     ("degree-inequalities", verify_mod, "evaluate", _shifted_sums(-1),
-     (2, [(6, "nonneg", "3", ">= 6", "induced P-degrees vs sum of ceil((deg-1)/2) over P")])),
+     (3, [(6, "nonneg", "3", ">= 6", "induced P-degrees vs sum of ceil((deg-1)/2) over P")])),
     ("degree-inequalities", verify_mod, "evaluate", _shifted_sums(1),
      (1, [(1, "nonneg", "10", ">= 15", "sum of P-degrees + |P1| vs sum of ceil((deg+1)/2) over P1 u M1")])),
     ("monotonicity", verify_mod, "bnb_optima",
