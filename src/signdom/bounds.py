@@ -135,14 +135,12 @@ def bound_nn_5(profile: DegreeProfile) -> int:
 
 def bound_ksub_1(profile: DegreeProfile, k: int) -> Fraction:
     """2 * sum_{i<=k} ceil((d_i+1)/2) / (Delta + 1) - n, over the k smallest degrees."""
-    check_ks(profile.n, (k,))
     size = profile.Delta + 1
     return Fraction(2 * profile.ceil_half_sum(k) - profile.n * size, size)
 
 
 def bound_ksub_2(profile: DegreeProfile, k: int) -> Fraction:
     """(n*delta - 4m - n + 2 * sum_{i<=k} ceil((d_i+1)/2)) / (delta + 1)."""
-    check_ks(profile.n, (k,))
     return Fraction(
         profile.n * profile.delta - 4 * profile.m - profile.n + 2 * profile.ceil_half_sum(k),
         profile.delta + 1,

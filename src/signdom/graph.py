@@ -46,31 +46,24 @@ class GraphValidationError(GraphError):
 
 
 class _GraphFields(NamedTuple):
-    vertex_count: int
     adjacency: tuple[frozenset[int], ...]
 
 
 class Graph(_GraphFields):
-    """Simple undirected graph on vertices 0..vertex_count-1.
+    """Simple undirected graph on vertices 0..len(adjacency)-1.
 
-    ``adjacency[v]`` is the open neighborhood of ``v``. The constructor is
-    the one home of the structural rules: n >= 0, one entry per vertex, no
-    self-loops, ids in range and symmetry. :meth:`from_edges` builds from an
-    edge list and additionally rejects repeated edges. A graph is a named
-    tuple; ``_replace``, ``copy`` and unpickling at every protocol build it
+    ``adjacency[v]`` is the open neighborhood of ``v``; the graph is its
+    adjacency. The constructor holds the adjacency rules only: no
+    self-loops, ids in range and symmetry. :meth:`from_edges` also rejects
+    a negative order and a repeated edge. A graph is a named tuple;
+    ``_replace``, ``copy`` and unpickling at every protocol build it
     through the constructor too.
     """
 
     __slots__ = ()
 
-    def __new__(cls, vertex_count: int, adjacency: tuple[frozenset[int], ...]) -> "Graph":
-        n = vertex_count
-        if n < 0:
-            raise GraphValidationError("vertex_count must be nonnegative")
-        if len(adjacency) != n:
-            raise GraphValidationError(
-                f"adjacency has {len(adjacency)} entries for {n} vertices"
-            )
+    def __new__(cls, adjacency: tuple[frozenset[int], ...]) -> "Graph":
+        n = len(adjacency)
         for v, nbrs in enumerate(adjacency):
             if v in nbrs:
                 raise GraphValidationError(f"self-loop at vertex {v}")
@@ -79,7 +72,7 @@ class Graph(_GraphFields):
                     raise GraphValidationError(f"vertex id {u} out of range 0..{n - 1}")
                 if v not in adjacency[u]:
                     raise GraphValidationError(f"asymmetric adjacency between {u} and {v}")
-        return super().__new__(cls, vertex_count, adjacency)
+        return super().__new__(cls, adjacency)
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Graph":
@@ -90,8 +83,11 @@ class Graph(_GraphFields):
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from undirected edge pairs. The constructor checks the
-        rest; this rejects an id out of range before it indexes, and a repeat."""
+        """Build the graph on vertices 0..vertex_count-1 from undirected edge
+        pairs. The constructor checks the rest; this rejects a negative
+        order, an id out of range before it indexes, and a repeat."""
+        if vertex_count < 0:
+            raise GraphValidationError("vertex_count must be nonnegative")
         nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -102,7 +98,11 @@ class Graph(_GraphFields):
                 raise GraphValidationError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(vertex_count, tuple(frozenset(s) for s in nbrs))
+        return cls(tuple(frozenset(s) for s in nbrs))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     @property
     def edge_count(self) -> int:

@@ -7,36 +7,15 @@ parameter k is the minimum total weight over assignments that satisfy
 at least k vertices.
 
 Two independent engines compute it, each with one entry point for one k
-and one for many. Exhaustive enumeration is the oracle:
-:func:`solve_bruteforce` is a literal loop over the 2^n assignments for
-one k, and :func:`bruteforce_optima_both` answers the requested k in
-both modes from one enumeration, on all assignments at once, in one
-integer with a fixed-width counter field per assignment: the optimum for
-k is the least weight over the assignments that satisfy at least k
-vertices. Depth-first branch-and-bound is :func:`solve_bnb` for one k;
-:func:`bnb_optima` builds the search state once per graph and mode and
-solves the requested k in ascending order: a search may stop at its
-residual bound at the root, at the previous optimum, since optima never
-decrease in k, or at 2c - n, where c is the k-th smallest number of
-positives a closed neighbourhood needs; a previous witness that already
-satisfies k vertices answers k with no search, and so does k = 1, whose
-optimum is 2c - n and whose witness puts the c positives on the lowest
-ids of a closed neighbourhood that needs c. Both engines return the
-same canonical witness: the lexicographically smallest optimal sign
-vector under the ordering +1 < -1, vertex 0 most significant.
-Branch-and-bound finds it in its one search: it branches vertices in id
-order, +1 first, accepts ties with the greedy incumbent only until its
-first leaf, and prunes with a residual form of the double counting sum_v
-f(N[v]) = sum_u (d_u+1) f(u): a node is cut when the positives the k
-least demanding vertices still need exceed what the new positives the
-incumbent leaves room for can supply, and at k = n also when one vertex
-alone still needs more new positives than the incumbent leaves room for.
-Its state is two integers with one fixed-width field per vertex, so a
-branch is one subtraction and needs no undo; at k = n the positives
-still needed are a running sum that a +1 child lowers by one popcount,
-and the largest of them is one add and one AND. It pushes only the -1
-child of a node on an explicit stack and searches the +1 child in place,
-so no recursion limit bounds n.
+and one for many; the docstrings of the second say how each works:
+
+- exhaustive enumeration, the oracle: :func:`solve_bruteforce` and
+  :func:`bruteforce_optima_both`;
+- depth-first branch-and-bound: :func:`solve_bnb` and :func:`bnb_optima`.
+
+Both return the same canonical witness: the lexicographically smallest
+optimal sign vector under the ordering +1 < -1, vertex 0 most
+significant.
 """
 
 from __future__ import annotations
@@ -387,8 +366,6 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     """
     n = graph.vertex_count
     ks = check_ks(n, ks)
-    if not ks:
-        return {}
     tau = mode.threshold
     adj = graph.adjacency
     size = [len(nbrs) + 1 for nbrs in adj]  # d_v + 1
@@ -401,7 +378,7 @@ def bnb_optima(graph: Graph, mode: Mode, ks: Iterable[int]) -> dict[int, SolveRe
     lacks = [(s + tau + 1) // 2 for s in size]
     ranked = sorted(lacks)
     # room0: negatives N[v] may still take; short0: positives N[v] still lacks
-    room0 = top + sum([f * ((s - tau) // 2) for f, s in zip(field, size)])
+    room0 = top + sum([f * (s - x) for f, s, x in zip(field, size, lacks)])
     short0 = top + sum(map(mul, field, lacks))
     # adds[x] lifts a short field to 2*big or more exactly when its demand > x.
     deepest = max(lacks)

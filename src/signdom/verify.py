@@ -174,9 +174,6 @@ class Counterexample:
     expected: str
     detail: str
 
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)
-
 
 @dataclass
 class CheckResult:
@@ -184,10 +181,6 @@ class CheckResult:
     passed: int = 0
     failed: int = 0
     counterexamples: list[Counterexample] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, object]:
-        shown = self.counterexamples[:MAX_COUNTEREXAMPLES]
-        return dict(vars(self), counterexamples=[ce.to_dict() for ce in shown])
 
 
 @dataclass
@@ -202,14 +195,12 @@ class CampaignReport:
     generated_at: str
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "ensemble": self.ensemble,
-            "k_policy": self.k_policy,
-            "graph_count": self.graph_count,
-            "checks": [c.to_dict() for c in self.checks],
-            "all_passed": self.all_passed,
-            "generated_at": self.generated_at,
-        }
+        """The report's JSON payload: every field in order but the two
+        counts, with at most ``MAX_COUNTEREXAMPLES`` per check."""
+        shown = [replace(c, counterexamples=c.counterexamples[:MAX_COUNTEREXAMPLES]) for c in self.checks]
+        payload = asdict(replace(self, checks=shown))
+        del payload["checks_recorded"], payload["graphs_without_oracle"]
+        return payload
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:

@@ -51,13 +51,13 @@ def test_every_entry_point_refuses_a_broken_graph_alike():
     can express them."""
     cases = [
         ("vertex_count must be nonnegative", [
-            lambda: Graph(-1, ()),
             lambda: Graph.from_edges(-1, []),
+            lambda: Graph.from_edges(-1, [(0, 1)]),  # the order is checked before any edge
             lambda: gen_complete(-1),
             lambda: gen_gnp(-1, 0.5, 0),
         ]),
         ("self-loop at vertex 1", [
-            lambda: Graph(3, (frozenset(), frozenset({1}), frozenset())),
+            lambda: Graph((frozenset(), frozenset({1}), frozenset())),
             lambda: Graph.from_edges(3, [(0, 2), (1, 1)]),
             lambda: parse_edge_list("0 2\n1 1\n"),
             lambda: parse_dimacs("p edge 3 2\ne 1 3\ne 2 2\n"),
@@ -78,20 +78,36 @@ def test_every_entry_point_refuses_a_broken_graph_alike():
 @pytest.mark.parametrize(
     "adjacency, message",
     [
-        ((frozenset(),), "adjacency has 1 entries for 2 vertices"),
         ((frozenset({2}), frozenset()), "vertex id 2 out of range 0..1"),
         ((frozenset(), frozenset({-1})), "vertex id -1 out of range 0..1"),
     ],
 )
-def test_constructor_rejects_a_wrong_entry_count_or_neighbour_id(adjacency, message):
+def test_constructor_rejects_a_neighbour_id_out_of_range(adjacency, message):
     with pytest.raises(GraphValidationError) as info:
-        Graph(2, adjacency)
+        Graph(adjacency)
     assert str(info.value) == message
 
 
 def test_constructor_rejects_asymmetric_adjacency():
     with pytest.raises(GraphValidationError, match="asymmetric"):
-        Graph(2, (frozenset({1}), frozenset()))
+        Graph((frozenset({1}), frozenset()))
+
+
+def test_graph_is_its_adjacency():
+    """A graph has one field, and its order is the length of its adjacency,
+    whichever parser or generator built it."""
+    assert Graph._fields == ("adjacency",)
+    with pytest.raises(TypeError):
+        Graph(2, (frozenset({1}), frozenset({0})))
+    built = [
+        parse_edge_list("0 1\n1 2\n", order=5),
+        parse_dimacs("p edge 4 2\ne 1 2\ne 3 4\n"),
+        gen_complete(0), gen_complete(4), gen_cycle(5), gen_path(1), gen_sun(2),
+        gen_hajos(), gen_circulant(8, [1, 3]), gen_gnp(7, 0.5, 3),
+    ]
+    for g in built:
+        assert g == Graph(g.adjacency)
+        assert g.vertex_count == len(g.adjacency)
 
 
 def test_graph_is_immutable():
@@ -128,7 +144,7 @@ def test_copy_and_pickle_go_through_the_constructor():
     # tuples built around the constructor are refused when they are copied
     # or loaded back, at every pickle protocol
     forged = [
-        (tuple.__new__(Graph, (2, (frozenset({1}), frozenset()))), GraphValidationError, "asymmetric"),
+        (tuple.__new__(Graph, ((frozenset({1}), frozenset()),)), GraphValidationError, "asymmetric"),
         (tuple.__new__(SignAssignment, ((1, 0),)), ValueError, "signs must be -1 or"),
     ]
     for broken, error, message in forged:

@@ -99,5 +99,4 @@ def test_reference_table_reproducible_and_parity():
         n = g.vertex_count
         assert (rv.value - n) % 2 == 0  # full-domination weights share n's parity
         assert rv.provenance
-        if n <= 12:
-            assert solve_bnb(g, n, rv.mode).optimum == rv.value, rv
+        assert solve_bnb(g, n, rv.mode).optimum == rv.value, rv

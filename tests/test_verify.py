@@ -503,6 +503,10 @@ def test_counterexample_payload_fields(monkeypatch):
     monkey_spec = EnsembleSpec(families=("cycle",), n_max=6)
     report = run_campaign(monkey_spec)
     d = report.to_dict()
+    # the report's fields in order but the two counts, and each check's fields
+    assert list(d) == ["ensemble", "k_policy", "graph_count", "checks", "all_passed", "generated_at"]
+    for check in d["checks"]:
+        assert list(check) == ["name", "passed", "failed", "counterexamples"]
     assert d["ensemble"]["families"] == ["cycle"]
     assert d["k_policy"] == "default"
     assert isinstance(d["generated_at"], str)
